@@ -15,19 +15,15 @@ Four subcommands cover the workflows the library supports end to end:
     table (CSV or pipe-delimited markdown), one row per method.
 
 All randomness is derived from ``--seed`` (default 42), so every table is
-reproducible except for the timing column.  ``ACCELERANT_THREADS`` caps
-how many benchmark rows run concurrently (default 1); each row's solver
-remains single-threaded either way.
+reproducible except for the timing column.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +33,8 @@ from .core import (
     BreakdownError,
     DEFAULT_POLICY,
     SequenceWindow,
+    _lozenge_update,
+    breakdown_check,
     read_sequence_file,
 )
 from .driver import (
@@ -347,56 +345,41 @@ def _componentwise_aitken(s0, s1, s2):
     return np.where(np.isfinite(out), out, s2)
 
 
-def _componentwise_epsilon(iterates: list[np.ndarray]) -> np.ndarray:
-    """Deepest valid even-column value of the lozenge table, per component.
-
-    Columns are rebuilt over the whole history; a component whose inverse
-    difference fails the breakdown guard turns NaN and poisons its
-    descendants, so the fallback walk below lands on the deepest entry
-    that is still trustworthy (ultimately the raw last term).
-    """
-    prev = np.zeros((len(iterates) + 1, iterates[0].shape[0]))
-    curr = np.array(iterates, dtype=float)
-    even_columns = [curr]
-    while curr.shape[0] >= 2:
-        diff = curr[1:] - curr[:-1]
-        scale = np.abs(curr[1:]) + np.abs(curr[:-1])
-        with np.errstate(all="ignore"):
-            nxt = prev[1:curr.shape[0]] + 1.0 / diff
-        broken = np.abs(diff) <= DEFAULT_POLICY.relative_threshold * \
-            np.maximum(scale, _TINY)
-        nxt[broken | ~np.isfinite(nxt)] = np.nan
-        prev, curr = curr, nxt
-        if (len(iterates) - curr.shape[0]) % 2 == 0:
-            even_columns.append(curr)
-    out = np.array(iterates[-1], copy=True)
-    filled = np.zeros(out.shape[0], dtype=bool)
-    for column in reversed(even_columns[1:]):
-        candidate = column[-1]
-        mask = ~filled & np.isfinite(candidate)
-        out[mask] = candidate[mask]
-        filled |= mask
-    return out
+def _componentwise_quotient(a, b, k, n):
+    """Inverse difference per component, NaN where a component breaks down."""
+    d = b - a
+    safe = breakdown_check(d, np.maximum(np.abs(a), np.abs(b)))
+    return np.where(safe, 1.0 / d, np.nan)
 
 
 def _run_componentwise(problem: FixedPointProblem, tol: float, max_evals: int,
                        kind: str, error_aware: bool,
                        norm) -> tuple[int, float, str, np.ndarray]:
-    history = [np.array(problem.initial_guess, dtype=float)]
-    accelerated = history[0]
+    start = np.array(problem.initial_guess, dtype=float)
+    recent = [start]
+    diagonal = [start]
+    accelerated = start
     prev_accelerated = None
     prev_delta = None
     status = "max_cycles"
     evals = 0
     for evals in range(1, max_evals + 1):
-        history.append(problem.mapping(history[-1]))
-        if len(history) < 3:
+        recent = recent[-2:] + [problem.mapping(recent[-1])]
+        if kind == "epsilon":
+            with np.errstate(all="ignore"):
+                diagonal = _lozenge_update(diagonal, recent[-1], evals,
+                                           _componentwise_quotient)
+        if evals < 2:
             continue
         if kind == "aitken":
-            accelerated = _componentwise_aitken(history[-3], history[-2],
-                                                history[-1])
+            accelerated = _componentwise_aitken(*recent)
         else:
-            accelerated = _componentwise_epsilon(history)
+            # deepest finite even-column entry per component; a breakdown
+            # turns a component NaN along with everything that reads it
+            accelerated = diagonal[0]
+            for candidate in diagonal[2::2]:
+                accelerated = np.where(np.isfinite(candidate), candidate,
+                                       accelerated)
         if error_aware:
             accelerated = np.abs(accelerated)
             accelerated /= accelerated.sum()
@@ -411,7 +394,7 @@ def _run_componentwise(problem: FixedPointProblem, tol: float, max_evals: int,
                 status = "converged"
                 break
         prev_accelerated = accelerated
-    initial = max(norm(problem.mapping(history[0]) - history[0]), _TINY)
+    initial = max(norm(problem.mapping(start) - start), _TINY)
     final = norm(problem.mapping(accelerated) - accelerated) / initial
     return evals, final, status, accelerated
 
@@ -460,12 +443,7 @@ def cmd_bench(args) -> int:
         print(f"error: unknown method(s) {', '.join(unknown)}; choose from "
               f"{', '.join(BENCH_METHODS)}", file=sys.stderr)
         return 1
-    workers = max(1, int(os.environ.get("ACCELERANT_THREADS", "1")))
-    if workers == 1:
-        rows = [_bench_row(name, args) for name in methods]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda name: _bench_row(name, args), methods))
+    rows = [_bench_row(name, args) for name in methods]
     _emit(_render_rows(rows, args.format), args.output)
     if all(row.status != "converged" for row in rows):
         return 3

@@ -10,6 +10,11 @@ is built on the three primitives in this module:
 * :func:`breakdown_check` / :class:`BreakdownPolicy` — the single shared
   rule deciding when a denominator is too small to divide by.
 
+The lozenge recursion behind epsilon, rho and the vector epsilon
+transform is written once, as Wynn's ascending-diagonal update
+(``_lozenge_update``) with a pluggable quotient; ``_lozenge_table`` fills
+a :class:`Tableau` from it.
+
 All arithmetic is plain 64-bit binary floating point.
 """
 
@@ -88,8 +93,14 @@ def breakdown_check(denominator: float, local_scale: float,
 
     Fails (returns False) iff ``|denominator| <= threshold * max(scale, tiny)``
     with ``tiny`` the smallest positive normal magnitude, so an exactly zero
-    denominator fails even at zero scale.
+    denominator fails even at zero scale.  Array arguments are checked
+    elementwise and give a boolean array (a NaN fails).
     """
+    if isinstance(local_scale, np.ndarray):
+        if np.any(local_scale < 0):
+            raise ValueError("local scale must be nonnegative")
+        return np.abs(denominator) > \
+            policy.relative_threshold * np.maximum(local_scale, _TINY)
     if local_scale < 0:
         raise ValueError("local scale must be nonnegative")
     return abs(denominator) > policy.relative_threshold * max(local_scale, _TINY)
@@ -340,6 +351,90 @@ class Tableau:
                     return Estimate(self._columns[k][n], order_k=k,
                                     pilot_index_n=n)
         raise BreakdownError("tableau holds no valid estimate")
+
+
+def _lozenge_update(diagonal: list, term, index: int, quotient) -> list:
+    """Wynn's ascending-diagonal step of the lozenge recursion.
+
+    ``diagonal`` holds the entries e_k^(n) with k + n = index - 1, column 0
+    first; the result holds those with k + n = index, from ``term`` =
+    e_0^(index) and
+
+        e_k^(n) = e_{k-2}^(n+1) + quotient(e_{k-1}^(n), e_{k-1}^(n+1), k, n),
+
+    with e_{-1} = 0.  ``quotient`` returns a fresh value, to which e_{k-2}
+    is added in place, or None where entry (k, n) breaks down; every entry
+    that reads a None entry is None as well.  Adding one term costs one
+    quotient per column, so a running sequence extends its table without
+    rebuilding it.
+    """
+    new = [term]
+    back = 0.0
+    for k, a in enumerate(diagonal, start=1):
+        b = new[-1]
+        if a is None or b is None or back is None:
+            new.append(None)
+        else:
+            q = quotient(a, b, k, index - k)
+            if q is not None:
+                q += back
+            new.append(q)
+        back = a
+    return new
+
+
+def _lozenge_table(entries: list, base: int, size, inverse,
+                   policy: BreakdownPolicy, keep_full: bool,
+                   zero: Term = 0.0) -> Tableau:
+    """Even-estimate :class:`Tableau` of a lozenge recursion.
+
+    ``entries`` is column 0 from index ``base``.  Entry (k, n) adds
+    ``inverse(d, size(d), k, n)`` to e_{k-2}^(n+1), with d the difference
+    of its parents e_{k-1}^(n+1) - e_{k-1}^(n); it breaks down when
+    :func:`breakdown_check` fails on ``size(d)`` against the larger parent
+    size.  Broken entries are flagged with everything that reads them, and
+    the table ends with its first column that holds no valid entry; under
+    ``action="error"`` the first breakdown in column order raises instead.
+    """
+    failures = []
+
+    def quotient(a, b, k, n):
+        d = b - a
+        denominator = size(d)
+        scale = max(size(a), size(b))
+        if breakdown_check(denominator, scale, policy):
+            return inverse(d, denominator, k, n)
+        failures.append((k, n, denominator, scale))
+        return None
+
+    # Entries go into the table diagonal by diagonal, so the table's own
+    # eviction frees the columns no later read needs as the sweep goes.
+    t = Tableau(keep_full=keep_full, estimate_parity="even")
+    for n in range(base, base + len(entries) + 1):
+        t.set_entry(-1, n, zero)
+    diagonal, broken, deepest = [], [], 0
+    for i, term in enumerate(entries):
+        diagonal = _lozenge_update(diagonal, term, base + i, quotient)
+        for k, value in enumerate(diagonal):
+            if value is None:
+                broken.append((k, base + i - k))
+            else:
+                t.set_entry(k, base + i - k, value)
+                if k > deepest:
+                    deepest = k
+    if failures and policy.action == "error":
+        k, n, denominator, scale = min(failures)
+        raise BreakdownError(f"breakdown at tableau entry ({k}, {n})",
+                             order_k=k, index_n=n, denominator=denominator,
+                             scale=scale)
+    # A valid entry needs valid parents, so the columns holding one are
+    # 0..deepest; like a column sweep, the table ends with column
+    # deepest + 1, the first without one, and flags nothing deeper.
+    for k, n in broken:
+        if k <= deepest + 1:
+            t.flag_breakdown(k, n)
+    t.compact()
+    return t
 
 
 def read_sequence_file(path) -> SequenceWindow:

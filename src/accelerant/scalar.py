@@ -25,6 +25,7 @@ from .core import (
     Estimate,
     SequenceWindow,
     Tableau,
+    _lozenge_table,
     breakdown_check,
     forward_difference,
 )
@@ -401,33 +402,8 @@ def epsilon_scalar(window: SequenceWindow,
     _require_scalar(window, "the inverse-difference recursion")
     if len(window) < 3:
         raise ValueError("need at least three terms")
-    base, length = window.base_index, len(window)
-    t = Tableau(keep_full=keep_full, estimate_parity="even")
-    for n in range(base, base + length + 1):
-        t.set_entry(-1, n, 0.0)
-    for i, s in enumerate(window):
-        t.set_entry(0, base + i, float(s))
-    for k in range(1, length):
-        alive = False
-        for n in range(base, base + length - k):
-            try:
-                a = t.get_entry(k - 1, n)
-                b = t.get_entry(k - 1, n + 1)
-                back = t.get_entry(k - 2, n + 1)
-            except BreakdownError:
-                t.flag_breakdown(k, n)
-                continue
-            denom = b - a
-            scale = max(abs(a), abs(b))
-            if not breakdown_check(denom, scale, policy):
-                _breakdown_or_flag(t, k, n, denom, scale, policy)
-                continue
-            t.set_entry(k, n, back + 1.0 / denom)
-            alive = True
-        if not alive:
-            break
-    t.compact()
-    return t
+    return _lozenge_table([float(s) for s in window], window.base_index, abs,
+                          lambda d, size, k, n: 1.0 / d, policy, keep_full)
 
 
 def rho(window: SequenceWindow, nodes: NodeSequence | None = None,
@@ -450,36 +426,10 @@ def rho(window: SequenceWindow, nodes: NodeSequence | None = None,
             raise ValueError("nodes must be strictly increasing")
         for i in range(length):
             nodes.value(base + i)
-    t = Tableau(keep_full=keep_full, estimate_parity="even")
-    for n in range(base, base + length + 1):
-        t.set_entry(-1, n, 0.0)
-    for i, s in enumerate(window):
-        t.set_entry(0, base + i, float(s))
-    for k in range(1, length):
-        alive = False
-        for n in range(base, base + length - k):
-            try:
-                a = t.get_entry(k - 1, n)
-                b = t.get_entry(k - 1, n + 1)
-                back = t.get_entry(k - 2, n + 1)
-            except BreakdownError:
-                t.flag_breakdown(k, n)
-                continue
-            denom = b - a
-            scale = max(abs(a), abs(b))
-            if not breakdown_check(denom, scale, policy):
-                _breakdown_or_flag(t, k, n, denom, scale, policy)
-                continue
-            try:
-                span = nodes.value(n + k) - nodes.value(n)
-            except IndexError:
-                break
-            t.set_entry(k, n, back + span / denom)
-            alive = True
-        if not alive:
-            break
-    t.compact()
-    return t
+    x = nodes.value
+    return _lozenge_table([float(s) for s in window], base, abs,
+                          lambda d, size, k, n: (x(n + k) - x(n)) / d,
+                          policy, keep_full)
 
 
 def theta(window: SequenceWindow,
@@ -566,15 +516,30 @@ def e_algorithm(window: SequenceWindow, basis: BasisFamily, k_max: int,
     ``aux[(k, i)][n]`` holds g_{k,i}^(n).
     """
     _require_scalar(window, "the general recursion")
-    base, length = window.base_index, len(window)
+    t, aux = _e_recursion([float(s) for s in window], window.base_index,
+                          basis, k_max, policy, keep_full)
+    if return_aux:
+        return t, aux
+    return t
+
+
+def _e_recursion(entries: list, base: int, basis: BasisFamily, k_max: int,
+                 policy: BreakdownPolicy, keep_full: bool):
+    """The general recursion over column 0 ``entries`` from index ``base``.
+
+    Entries are floats (:func:`e_algorithm`) or vectors (the vector form,
+    ``h_algorithm``); the auxiliaries are scalars either way.  Returns the
+    tableau and ``aux[(k, i)][n]`` = g_{k,i}^(n).
+    """
+    length = len(entries)
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     if length < k_max + 1:
         raise ValueError(f"need at least {k_max + 1} terms for order {k_max}")
     i_max = k_max  # auxiliary families used up to index k_max
     t = Tableau(keep_full=keep_full, estimate_parity="all")
-    for i, s in enumerate(window):
-        t.set_entry(0, base + i, float(s))
+    for i, entry in enumerate(entries):
+        t.set_entry(0, base + i, entry)
     aux: dict[tuple[int, int], dict[int, float]] = {}
     for i in range(1, i_max + 1):
         aux[(0, i)] = {base + j: basis.value(i, base + j) for j in range(length)}
@@ -616,9 +581,7 @@ def e_algorithm(window: SequenceWindow, basis: BasisFamily, k_max: int,
         if not alive:
             break
     t.compact()
-    if return_aux:
-        return t, aux
-    return t
+    return t, aux
 
 
 def e_algorithm_determinant(window: SequenceWindow, basis: BasisFamily,

@@ -26,11 +26,12 @@ from .core import (
     Estimate,
     SequenceWindow,
     Tableau,
+    _lozenge_table,
     breakdown_check,
     forward_difference,
 )
 from .linalg import RankDeficiencyError, _determinant, least_squares, lu_solve
-from .scalar import NonexistenceError, epsilon_scalar
+from .scalar import NonexistenceError, _e_recursion, epsilon_scalar
 
 __all__ = [
     "AndersonState",
@@ -396,58 +397,9 @@ def h_algorithm(window: SequenceWindow, basis, k_max: int,
     component with the scalar recursion run on each coordinate against the
     same auxiliaries.
     """
-    base, length = window.base_index, len(window)
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    if length < k_max + 1:
-        raise ValueError(f"need at least {k_max + 1} terms for order {k_max}")
-    i_max = k_max
-    t = Tableau(keep_full=keep_full, estimate_parity="all")
-    for i in range(length):
-        t.set_entry(0, base + i,
-                    np.atleast_1d(np.asarray(window.term(base + i), dtype=np.float64)))
-    aux: dict[tuple[int, int], dict[int, float]] = {}
-    for i in range(1, i_max + 1):
-        aux[(0, i)] = {base + j: basis.value(i, base + j) for j in range(length)}
-    dead: set[tuple[int, int]] = set()
-    for k in range(1, k_max + 1):
-        alive = False
-        for i in range(k + 1, i_max + 1):
-            aux[(k, i)] = {}
-        for n in range(base, base + length - k):
-            if (k - 1, n) in dead or (k - 1, n + 1) in dead:
-                dead.add((k, n))
-                t.flag_breakdown(k, n)
-                continue
-            g = aux[(k - 1, k)]
-            denom = g[n + 1] - g[n]
-            scale = max(abs(g[n]), abs(g[n + 1]))
-            if not breakdown_check(denom, scale, policy):
-                if policy.action == "error":
-                    raise BreakdownError(
-                        f"auxiliary denominator vanishes at ({k}, {n})",
-                        order_k=k, index_n=n, denominator=abs(denom),
-                        scale=scale)
-                dead.add((k, n))
-                t.flag_breakdown(k, n)
-                continue
-            ratio = g[n] / denom
-            try:
-                h0 = t.get_entry(k - 1, n)
-                h1 = t.get_entry(k - 1, n + 1)
-            except BreakdownError:
-                dead.add((k, n))
-                t.flag_breakdown(k, n)
-                continue
-            t.set_entry(k, n, h0 - ratio * (h1 - h0))
-            for i in range(k + 1, i_max + 1):
-                gi = aux[(k - 1, i)]
-                aux[(k, i)][n] = gi[n] - ratio * (gi[n + 1] - gi[n])
-            alive = True
-        if not alive:
-            break
-    t.compact()
-    return t
+    entries = [np.atleast_1d(np.asarray(t, dtype=np.float64)) for t in window]
+    return _e_recursion(entries, window.base_index, basis, k_max, policy,
+                        keep_full)[0]
 
 
 def vea(window: SequenceWindow,
@@ -462,41 +414,20 @@ def vea(window: SequenceWindow,
     """
     if len(window) < 3:
         raise ValueError("need at least three terms")
-    base, length = window.base_index, len(window)
     dim = 1 if window.is_scalar else window.dimension
-    t = Tableau(keep_full=keep_full, estimate_parity="even")
-    zero = np.zeros(dim)
-    for n in range(base, base + length + 1):
-        t.set_entry(-1, n, zero)
-    for i in range(length):
-        t.set_entry(0, base + i,
-                    np.atleast_1d(np.asarray(window.term(base + i), dtype=np.float64)))
-    for k in range(1, length):
-        alive = False
-        for n in range(base, base + length - k):
-            try:
-                a = t.get_entry(k - 1, n)
-                b = t.get_entry(k - 1, n + 1)
-                back = t.get_entry(k - 2, n + 1)
-            except BreakdownError:
-                t.flag_breakdown(k, n)
-                continue
-            diff = b - a
-            norm = float(np.linalg.norm(diff))
-            scale = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
-            if not breakdown_check(norm, scale, policy):
-                if policy.action == "error":
-                    raise BreakdownError(
-                        f"entry difference vanishes at ({k}, {n})",
-                        order_k=k, index_n=n, denominator=norm, scale=scale)
-                t.flag_breakdown(k, n)
-                continue
-            t.set_entry(k, n, back + diff / (norm * norm))
-            alive = True
-        if not alive:
-            break
-    t.compact()
-    return t
+    entries = [np.atleast_1d(np.asarray(t, dtype=np.float64)) for t in window]
+    return _lozenge_table(entries, window.base_index, _norm, _vector_inverse,
+                          policy, keep_full, zero=np.zeros(dim))
+
+
+def _norm(vector: np.ndarray) -> float:
+    return float(np.linalg.norm(vector))
+
+
+def _vector_inverse(d: np.ndarray, size: float, k: int, n: int) -> np.ndarray:
+    """z^{-1} = z / ||z||^2, in place: ``d`` is a fresh difference."""
+    d /= size * size
+    return d
 
 
 def _dual_vector(weight) -> np.ndarray:

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from accelerant import cli
+from accelerant.core import SequenceWindow
 from accelerant.driver import CSV_HEADER
+from accelerant.problems import linear_iteration_generator
+from accelerant.scalar import epsilon_scalar
 
 
 def run_cli(capsys, argv):
@@ -239,19 +242,6 @@ class TestBenchCommand:
 
         assert stable(first) == stable(second)
 
-    def test_thread_pool_rows_match_serial(self, capsys, monkeypatch):
-        argv = ["bench", "--problem", "linear", "--n", "30",
-                "--methods", "picard,rre,mpe"]
-        _, serial, _ = run_cli(capsys, argv)
-        monkeypatch.setenv("ACCELERANT_THREADS", "3")
-        _, threaded, _ = run_cli(capsys, argv)
-
-        def stable(text):
-            rows = [line.split(",") for line in text.strip().splitlines()[1:]]
-            return [(r[0], r[1], r[2], r[4]) for r in rows]
-
-        assert stable(serial) == stable(threaded)
-
     def test_all_rows_failed_exits_three(self, capsys):
         code, out, _ = run_cli(capsys, ["bench", "--problem", "pde",
                                         "--grid", "20", "--methods", "tea",
@@ -260,6 +250,35 @@ class TestBenchCommand:
         assert code == 3
         row = out.strip().splitlines()[1]
         assert row.split(",")[4] != "converged"
+
+
+class TestComponentwiseEpsilon:
+    def test_every_step_matches_scalar_epsilon_per_component(self):
+        # Four components and fifteen steps: the deep columns cancel to
+        # breakdown, so the fallback to shallower columns is exercised.
+        problem = linear_iteration_generator(4, 0.9, 3).as_fixed_point()
+        history = [np.array(problem.initial_guess, dtype=float)]
+        for _ in range(15):
+            history.append(problem.mapping(history[-1]))
+        fallbacks = 0
+        for steps in range(2, 16):
+            evals, _, status, accelerated = cli._run_componentwise(
+                problem, 0.0, steps, "epsilon", False,
+                cli._problem_norm("linear"))
+            assert (evals, status) == (steps, "max_cycles")
+            for c in range(4):
+                table = epsilon_scalar(
+                    SequenceWindow([x[c] for x in history[:steps + 1]]),
+                    keep_full=True)
+                # newest entry of the deepest even column not flagged
+                expected = history[steps][c]
+                for k in range(2, steps + 1, 2):
+                    if table.has_entry(k, steps - k):
+                        expected = table.get_entry(k, steps - k)
+                    else:
+                        fallbacks += 1
+                assert accelerated[c] == expected, (steps, c)
+        assert fallbacks > 0
 
 
 def test_module_entry_point_runs():

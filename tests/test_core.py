@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from accelerant.core import (
@@ -106,6 +106,7 @@ def test_vector_difference():
 @given(st.integers(min_value=2, max_value=8),
        st.floats(-3, 3), st.floats(-3, 3),
        st.integers(min_value=0, max_value=2 ** 31 - 1))
+@example(length=8, a=-2.125, b=-1.5, seed=5000)
 @settings(max_examples=60, deadline=None)
 def test_difference_is_linear(length, a, b, seed):
     rng = np.random.default_rng(seed)
@@ -117,8 +118,12 @@ def test_difference_is_linear(length, a, b, seed):
         for n in range(length - j):
             combo = a * forward_difference(ws, j, n) + b * forward_difference(wu, j, n)
             got = forward_difference(wc, j, n)
-            scale = max(abs(combo), abs(got), 1.0)
-            assert abs(got - combo) <= 1e-14 * scale
+            # Rounding in a j-th difference grows with the terms it sums,
+            # not with the (possibly cancelled) result: bound it by the
+            # a-priori magnitude sum_i C(j, i) (|a s_{n+i}| + |b u_{n+i}|).
+            magnitude = sum(math.comb(j, i) * (abs(a * s[n + i]) + abs(b * u[n + i]))
+                            for i in range(j + 1))
+            assert abs(got - combo) <= 1e-14 * magnitude + np.finfo(float).tiny
 
 
 @given(st.integers(min_value=1, max_value=7),
@@ -155,6 +160,17 @@ def test_threshold_scales_with_local_scale():
     policy = BreakdownPolicy(relative_threshold=1e-12)
     assert breakdown_check(1e-10, 1.0, policy) is True
     assert breakdown_check(1e-10, 1e4, policy) is False
+
+
+def test_arrays_are_checked_elementwise():
+    denominators = np.array([1e-20, 0.5, 0.0, -1e-10, 1e-10, np.nan])
+    scales = np.array([1.0, 1.0, 0.0, 1.0, 1e4, 1.0])
+    got = breakdown_check(denominators, scales)
+    expected = [breakdown_check(float(d), float(s))
+                for d, s in zip(denominators[:-1], scales[:-1])] + [False]
+    assert got.tolist() == expected
+    with pytest.raises(ValueError):
+        breakdown_check(np.ones(2), np.array([1.0, -1.0]))
 
 
 def test_policy_validation():
