@@ -28,6 +28,7 @@ from .scalar import BasisFamily, NonexistenceError
 from .vector import (
     AndersonState,
     VpeMethod,
+    _canonical_columns,
     anderson_step,
     h_algorithm,
     sbeta,
@@ -243,10 +244,7 @@ def _projection_columns(config: CycleConfig, dimension: int) -> np.ndarray:
                 f"test_vectors must have {dimension} rows and at least "
                 f"{k} columns")
         return np.asarray(config.test_vectors[:, :k])
-    if k > dimension:
-        raise ValueError("width_m exceeds the space dimension for "
-                         "projection columns")
-    return np.eye(dimension)[:, :k]
+    return _canonical_columns(dimension, k)
 
 
 def _extrapolate(config: CycleConfig, seq: list[np.ndarray],
@@ -258,11 +256,8 @@ def _extrapolate(config: CycleConfig, seq: list[np.ndarray],
         vm = VpeMethod.rre() if method == "rre" else VpeMethod.mpe()
         return vpe_extrapolate(SequenceWindow(seq), vm, m).value
     if method == "mmpe":
-        basis = config.test_vectors
-        if basis is None:
-            basis = _projection_columns(config, seq[0].shape[0])
-        return vpe_extrapolate(SequenceWindow(seq), VpeMethod.mmpe(basis),
-                               m).value
+        return vpe_extrapolate(SequenceWindow(seq),
+                               VpeMethod.mmpe(config.test_vectors), m).value
     if method == "sbeta":
         cols = _projection_columns(config, seq[0].shape[0])
         return sbeta(SequenceWindow(seq),

@@ -286,7 +286,8 @@ def laplacian_apply(grid_values: np.ndarray, p_grid: int,
     is held at zero.
     """
     g = np.asarray(grid_values, dtype=float).reshape(p_grid, p_grid)
-    padded = np.pad(g, 1)
+    padded = np.zeros((p_grid + 2, p_grid + 2))
+    padded[1:-1, 1:-1] = g
     lap = (4.0 * g
            - padded[:-2, 1:-1] - padded[2:, 1:-1]
            - padded[1:-1, :-2] - padded[1:-1, 2:]) / (spacing * spacing)

@@ -64,15 +64,33 @@ def _freeze_vector(value) -> np.ndarray:
     return arr
 
 
-def _window_columns(window: SequenceWindow, index: int, count: int) -> np.ndarray:
-    """Terms ``s_index .. s_{index+count-1}`` as the columns of an array."""
+def _window_rows(window: SequenceWindow, index: int, count: int) -> np.ndarray:
+    """Terms ``s_index .. s_{index+count-1}`` as the rows of a C-order array.
+
+    Differences between rows run over contiguous memory.  Where a BLAS
+    product or a dot product follows, its result depends on the operand
+    layout, so those callers take an N x count C-order copy (``.T.copy()``).
+    """
     if index < window.base_index or index + count - 1 > window.last_index:
         raise ValueError(
             f"window covers indices {window.base_index}..{window.last_index}, "
             f"need {index}..{index + count - 1}")
-    cols = [np.atleast_1d(np.asarray(window.term(index + j), dtype=np.float64))
-            for j in range(count)]
-    return np.column_stack(cols)
+    return np.array([np.atleast_1d(np.asarray(window.term(index + j),
+                                              dtype=np.float64))
+                     for j in range(count)])
+
+
+def _canonical_columns(dimension: int, k: int) -> np.ndarray:
+    """The leading ``k`` canonical basis vectors as the columns of an array.
+
+    Entry for entry ``np.eye(dimension)[:, :k]``, without the
+    dimension x dimension matrix.
+    """
+    if k > dimension:
+        raise ValueError("default test vectors need k <= dimension")
+    cols = np.zeros((dimension, k))
+    cols[np.arange(k), np.arange(k)] = 1.0
+    return cols
 
 
 @dataclass(frozen=True)
@@ -180,12 +198,12 @@ def generalized_residual(window: SequenceWindow, coefficients: Sequence[float],
     return result
 
 
-def _difference_blocks(window: SequenceWindow, n: int, k: int):
-    """Return (s_n, dS with k columns, d2S with k columns, ds_n .. as array)."""
-    s_cols = _window_columns(window, n, k + 2)
-    d1 = s_cols[:, 1:] - s_cols[:, :-1]          # ds_n .. ds_{n+k}
-    d2 = d1[:, 1:] - d1[:, :-1]                  # d2s_n .. d2s_{n+k-1}
-    return s_cols[:, 0], d1[:, :k], d2, d1
+def _difference_rows(window: SequenceWindow, n: int, count: int):
+    """Rows ``s_n ..``, ``ds_n ..`` and ``d2s_n ..`` of ``count`` terms."""
+    s_rows = _window_rows(window, n, count)
+    d1 = s_rows[1:] - s_rows[:-1]
+    d2 = d1[1:] - d1[:-1]
+    return s_rows, d1, d2
 
 
 def _tail_sums(gamma: np.ndarray) -> np.ndarray:
@@ -203,9 +221,7 @@ def _gamma_from_coefficients(a: np.ndarray) -> np.ndarray:
 
 def _mmpe_basis(method: VpeMethod, dimension: int, k: int) -> np.ndarray:
     if method.test_vectors is None:
-        if k > dimension:
-            raise ValueError("default test vectors need k <= dimension")
-        return np.eye(dimension)[:, :k]
+        return _canonical_columns(dimension, k)
     y = np.asarray(method.test_vectors, dtype=np.float64)
     if y.shape[0] != dimension or y.shape[1] < k:
         raise ValueError(
@@ -238,22 +254,27 @@ def vpe_extrapolate(window: SequenceWindow, method: VpeMethod, k: int,
     if k < 0:
         raise ValueError("order k must be nonnegative")
     if k == 0:
-        s_cols = _window_columns(window, n, 2)
-        ds0 = s_cols[:, 1] - s_cols[:, 0]
-        return VpeResult(value=s_cols[:, 0], gamma=np.ones(1), residual=ds0,
+        s_rows = _window_rows(window, n, 2)
+        ds0 = s_rows[1] - s_rows[0]
+        return VpeResult(value=s_rows[0], gamma=np.ones(1), residual=ds0,
                          order_k=0, pilot_index_n=n,
                          diagnostics={"residual_norm": float(np.linalg.norm(ds0))})
-    s0, d1, d2, d1_full = _difference_blocks(window, n, k)
-    ds0 = d1_full[:, 0]
+    s_rows, d1_rows, d2_rows = _difference_rows(window, n, k + 2)
+    s0 = s_rows[0]
+    # the matrix products and ds0's dot products round by operand layout:
+    # they get N x (k+1) and N x k C-order copies; least_squares takes the
+    # transposed rows, already in its column-major order
+    d1_full, d2 = d1_rows.T.copy(), d2_rows.T.copy()
+    d1, ds0 = d1_full[:, :k], d1_full[:, 0]
     angle_key = {"rre": "cos_theta", "mpe": "cos_phi", "mmpe": "cos_psi"}[method.kind]
 
     if method.kind == "rre":
-        fit = least_squares(d2, -ds0, policy)
+        fit = least_squares(d2_rows.T, -ds0, policy)
         a = fit.coefficients
         gamma = _gamma_from_coefficients(a)
         extras = {"rank_deficient": 1.0} if fit.rank_deficient else {}
     elif method.kind == "mpe":
-        fit = least_squares(d1, -d1_full[:, k], policy)
+        fit = least_squares(d1_rows[:k].T, -d1_rows[k], policy)
         c = np.append(fit.coefficients, 1.0)
         total = float(c.sum())
         if not breakdown_check(total, max(1.0, float(np.max(np.abs(c)))), policy):
@@ -298,16 +319,15 @@ def vpe_oracle(window: SequenceWindow, method: VpeMethod, k: int,
     if k < 0 or k > 6:
         raise ValueError("oracle orders are limited to 0 <= k <= 6")
     if k == 0:
-        return _window_columns(window, n, 1)[:, 0]
-    s_cols = _window_columns(window, n, k + 2)
-    d1 = s_cols[:, 1:] - s_cols[:, :-1]
-    d2 = d1[:, 1:] - d1[:, :-1]
+        return _window_rows(window, n, 1)[0]
+    s_rows, d1_rows, d2_rows = _difference_rows(window, n, k + 2)
+    d1, d2 = d1_rows.T.copy(), d2_rows.T.copy()
     if method.kind == "mpe":
         rows = [d1[:, i] for i in range(k)]
     elif method.kind == "rre":
         rows = [d2[:, i] for i in range(k)]
     else:
-        basis = _mmpe_basis(method, s_cols.shape[0], k)
+        basis = _mmpe_basis(method, s_rows.shape[1], k)
         rows = [basis[:, i] for i in range(k)]
     alpha = np.array([[row @ d1[:, j] for j in range(k + 1)] for row in rows])
 
@@ -319,11 +339,11 @@ def vpe_oracle(window: SequenceWindow, method: VpeMethod, k: int,
         raise NonexistenceError(
             f"denominator determinant {denominator:.3e} vanishes against "
             f"scale {scale:.3e} at order {k}")
-    value = np.empty(s_cols.shape[0])
+    value = np.empty(s_rows.shape[1])
     work = np.empty_like(denom_matrix)
     work[1:] = alpha
-    for component in range(s_cols.shape[0]):
-        work[0] = s_cols[component, : k + 1]
+    for component in range(s_rows.shape[1]):
+        work[0] = s_rows[: k + 1, component]
         value[component] = _determinant(work) / denominator
     return value
 
@@ -349,9 +369,9 @@ def sbeta(window: SequenceWindow, test_vectors: Sequence, index: int | None = No
     count = window.last_index - n0 + 1
     if count < k + 2:
         raise ValueError(f"need at least {k + 2} terms from index {n0} for depth {k}")
-    s_cols = _window_columns(window, n0, count)
-    s_level = [s_cols[:, j] for j in range(count)]
-    b_level = [s_cols[:, j + 1] - s_cols[:, j] for j in range(count - 1)]
+    s_rows = _window_rows(window, n0, count)
+    s_level = list(s_rows)
+    b_level = list(s_rows[1:] - s_rows[:-1])
     last_ratio = 0.0
     for level, y in enumerate(ys, start=1):
         new_s, new_b = [], []
@@ -450,13 +470,12 @@ def tea(window: SequenceWindow, weight, k: int, index: int | None = None,
     if k < 0:
         raise ValueError("order k must be nonnegative")
     if k == 0:
-        value = _window_columns(window, n, 1)[:, 0]
+        value = _window_rows(window, n, 1)[0]
         return Estimate(value=_freeze_vector(value), order_k=0, pilot_index_n=n)
-    s_cols = _window_columns(window, n, 2 * k + 1)
-    if s_cols.shape[0] != len(y):
+    s_rows, d1_rows, d2_rows = _difference_rows(window, n, 2 * k + 1)
+    if s_rows.shape[1] != len(y):
         raise ValueError("dual vector dimension does not match the sequence")
-    d1 = s_cols[:, 1:] - s_cols[:, :-1]
-    d2 = d1[:, 1:] - d1[:, :-1]
+    d1, d2 = d1_rows.T.copy(), d2_rows.T.copy()
     pair2 = y @ d2                       # (y, d2s_{n+j}) for j = 0..2k-2
     t_matrix = np.array([[pair2[i + j] for i in range(k)] for j in range(k)])
     rhs = d1[:, :k].T @ y
@@ -466,7 +485,7 @@ def tea(window: SequenceWindow, weight, k: int, index: int | None = None,
         raise NonexistenceError(
             f"pairing matrix is singular at order {k}: {exc}") from exc
     a = -c
-    value = s_cols[:, 0] + d1[:, :k] @ a
+    value = s_rows[0] + d1[:, :k] @ a
     residual = d1[:, 0] + d2[:, :k] @ a
     gamma = _gamma_from_coefficients(a)
     diag = {"residual_norm": float(np.linalg.norm(residual)),
@@ -503,12 +522,13 @@ def stea(window: SequenceWindow, weight, k: int, variant: int,
     n0 = window.base_index if index is None else index
     if k < 0:
         raise ValueError("order k must be nonnegative")
-    s_cols = _window_columns(window, n0, 2 * k + 1)
-    if s_cols.shape[0] != len(y):
+    s_rows = _window_rows(window, n0, 2 * k + 1)
+    if s_rows.shape[1] != len(y):
         raise ValueError("dual vector dimension does not match the sequence")
     if k == 0:
-        return Estimate(value=_freeze_vector(s_cols[:, 0]), order_k=0,
+        return Estimate(value=_freeze_vector(s_rows[0]), order_k=0,
                         pilot_index_n=n0, diagnostics={"variant": float(variant)})
+    s_cols = s_rows.T.copy()  # the pairings' dot products round by stride
     pairings = SequenceWindow((y @ s_cols[:, j] for j in range(2 * k + 1)),
                               base_index=n0)
     scalar_table = epsilon_scalar(pairings, keep_full=True)
@@ -521,7 +541,7 @@ def stea(window: SequenceWindow, weight, k: int, variant: int,
                 f"scalar companion entry ({2 * level}, {n}) unavailable",
                 order_k=2 * level, index_n=n) from exc
 
-    current = {n0 + j: s_cols[:, j] for j in range(2 * k + 1)}
+    current = {n0 + j: s_rows[j] for j in range(2 * k + 1)}
     for level in range(k):
         nxt: dict[int, np.ndarray] = {}
         for n in range(n0, n0 + 2 * (k - level) - 1):

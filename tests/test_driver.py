@@ -1,5 +1,7 @@
 """Driver tests: cycle mechanics, accounting, and acceleration behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from accelerant.driver import (
     convergence_check,
     run_cycles,
 )
+from accelerant.problems import reaction_diffusion
 
 
 def contraction(rng, n, radius):
@@ -358,3 +361,22 @@ class TestConvergenceBehavior:
         for name, counts in method_counts.items():
             assert np.median(counts) <= 0.5 * picard_median, (
                 name, np.median(counts), picard_median)
+
+
+class TestCycleMemory:
+    @pytest.mark.parametrize("method", ["sbeta", "h", "mmpe"])
+    def test_canonical_projection_columns_stay_window_sized(self, method):
+        """Default test vectors cost k columns, not a dimension-squared identity."""
+        problem = reaction_diffusion(80)
+        width = 5
+        config = CycleConfig(method=method, width_m=width, tol=1e-300,
+                             max_cycles=2)
+        bound = 16 * problem.dimension * (width + 2) * 8
+        tracemalloc.start()
+        try:
+            report = run_cycles(problem, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.cycles == 2
+        assert peak <= bound, (peak, bound)

@@ -149,6 +149,35 @@ class TestReactionDiffusion:
             direct = laplacian_apply(u, p_grid, spacing)
             assert np.allclose(direct, matrix @ u, rtol=1e-12, atol=1e-9)
 
+    @pytest.mark.parametrize("p_grid", [3, 4, 7, 20])
+    def test_applicator_matches_the_padded_formula_bit_for_bit(self, p_grid):
+        spacing = 1.0 / (p_grid + 1)
+        rng = np.random.default_rng(p_grid)
+        for scale in (1e-300, 1.0, 1e200):
+            u = scale * rng.standard_normal(p_grid * p_grid)
+            g = u.reshape(p_grid, p_grid)
+            padded = np.pad(g, 1)
+            oracle = (4.0 * g
+                      - padded[:-2, 1:-1] - padded[2:, 1:-1]
+                      - padded[1:-1, :-2] - padded[1:-1, 2:]) \
+                / (spacing * spacing)
+            got = laplacian_apply(u, p_grid, spacing)
+            assert got.tobytes() == oracle.ravel().tobytes()
+
+    def test_interleaved_maps_match_maps_run_one_at_a_time(self):
+        first, second = reaction_diffusion(5), reaction_diffusion(7)
+        rng = np.random.default_rng(3)
+        points = [(rng.standard_normal(25), rng.standard_normal(49))
+                  for _ in range(4)]
+        alone = [first.mapping(u) for u, _ in points] \
+            + [second.mapping(v) for _, v in points]
+        interleaved = [None] * (2 * len(points))
+        for i, (u, v) in enumerate(points):
+            interleaved[i] = first.mapping(u)
+            interleaved[len(points) + i] = second.mapping(v)
+        for got, want in zip(interleaved, alone):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestFredholm:
     def test_zero_coupling_fixes_the_source_in_one_step(self):

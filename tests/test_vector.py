@@ -54,6 +54,29 @@ def random_window(rng, dim, count):
     return SequenceWindow([rng.standard_normal(dim) for _ in range(count)])
 
 
+SCALAR_TERMS = [1.0, 0.5, 0.3, 0.26, 0.251]
+
+SCALAR_CALLS = {
+    "rre": lambda w, k: vpe_extrapolate(w, VpeMethod.rre(), k).value,
+    "mpe": lambda w, k: vpe_extrapolate(w, VpeMethod.mpe(), k).value,
+    "mmpe": lambda w, k: vpe_extrapolate(w, VpeMethod.mmpe(), k).value,
+    "oracle": lambda w, k: vpe_oracle(w, VpeMethod.rre(), k),
+    "sbeta": lambda w, k: sbeta(w, [np.ones(1)] * max(k, 1)).value,
+    "tea": lambda w, k: tea(w, np.ones(1), k).value,
+    "stea": lambda w, k: stea(w, np.ones(1), k, 1).value,
+}
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("name", sorted(SCALAR_CALLS))
+def test_scalar_window_runs_as_one_component_vectors(name, k):
+    call = SCALAR_CALLS[name]
+    scalar = np.asarray(call(SequenceWindow(SCALAR_TERMS), k))
+    vector = call(SequenceWindow([np.array([t]) for t in SCALAR_TERMS]), k)
+    assert scalar.shape == (1,)
+    assert scalar.tobytes() == vector.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # generalized residual
 
