@@ -5,8 +5,9 @@ small problems, the iteration and cycle counts, the fallback count, the
 stop reason and ``float.hex`` of the final residual and of every entry of
 the residual history, or the type and message of the exception the run
 raised.  ``mmpe`` runs twice: with seeded orthonormal test vectors, as the
-CLI builds them, and with the default canonical basis columns.  Every
-value must match exactly.
+CLI builds them, and with the default canonical basis columns;
+``anderson`` runs three times: plain, after a one-time warmup, and at
+depth 0 (damped plain iteration).  Every value must match exactly.
 
 Regenerate (only on purpose, when a transform's arithmetic changes) with
 ``PYTHONPATH=src python tests/test_golden_driver.py --write``.
@@ -32,6 +33,7 @@ GOLDEN = pathlib.Path(__file__).with_name("golden_driver.json")
 
 WIDTH = 5
 MMPE_WARMUP = 20
+ANDERSON_WARMUP = 3
 TOL = 1e-8
 MAX_CYCLES = 40
 TEST_VECTOR_SEED = 42
@@ -58,6 +60,13 @@ def configs(dimension: int) -> dict[str, CycleConfig]:
                 method=method, width_m=WIDTH,
                 warmup_p=MMPE_WARMUP if method == "mmpe" else 0, tol=TOL,
                 max_cycles=MAX_CYCLES, test_vectors=vectors, depth=WIDTH)
+    # anderson with a one-time warmup, and as damped plain iteration
+    out["anderson-warmup"] = CycleConfig(
+        method="anderson", width_m=WIDTH, warmup_p=ANDERSON_WARMUP, tol=TOL,
+        max_cycles=MAX_CYCLES, depth=WIDTH)
+    out["anderson-depth0"] = CycleConfig(
+        method="anderson", width_m=WIDTH, tol=TOL, max_cycles=MAX_CYCLES,
+        depth=0)
     return out
 
 
