@@ -160,7 +160,9 @@ def cmd_scalar(args) -> int:
     else:
         transform = {"epsilon": epsilon_scalar, "rho": rho, "theta": theta}[args.method]
         try:
-            tableau = transform(window)
+            # the full table: the stagnation diagnostic may read a column
+            # the rolling table has already evicted
+            tableau = transform(window, keep_full=True)
             best, acc_step, raw_step = _tableau_summary(window, tableau)
         except BreakdownError as exc:
             print("\n".join(lines), file=sys.stderr)
@@ -362,9 +364,10 @@ def _run_componentwise(problem: FixedPointProblem, tol: float, max_evals: int,
     prev_accelerated = None
     prev_delta = None
     status = "max_cycles"
-    evals = 0
     for evals in range(1, max_evals + 1):
         recent = recent[-2:] + [problem.mapping(recent[-1])]
+        if evals == 1:
+            initial = max(norm(recent[-1] - start), _TINY)
         if kind == "epsilon":
             with np.errstate(all="ignore"):
                 diagonal = _lozenge_update(diagonal, recent[-1], evals,
@@ -394,9 +397,9 @@ def _run_componentwise(problem: FixedPointProblem, tol: float, max_evals: int,
                 status = "converged"
                 break
         prev_accelerated = accelerated
-    initial = max(norm(problem.mapping(start) - start), _TINY)
+    # one more evaluation for the final residual
     final = norm(problem.mapping(accelerated) - accelerated) / initial
-    return evals, final, status, accelerated
+    return evals + 1, final, status, accelerated
 
 
 def _bench_row(method: str, args) -> BenchRow:
@@ -454,10 +457,17 @@ def cmd_bench(args) -> int:
 # argument parsing
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=1e-8,
                         help="relative stopping tolerance (default 1e-8)")
-    parser.add_argument("--max-cycles", type=int, default=1000,
+    parser.add_argument("--max-cycles", type=_positive_int, default=1000,
                         help="iteration budget: restart cycles for vector "
                              "methods, map evaluations otherwise (default 1000)")
     parser.add_argument("--seed", type=int, default=42,

@@ -6,13 +6,16 @@ plain iterations, (ii) collects a short window of consecutive iterates,
 (iv) restarts the iteration from the collapsed point.  Projection-type
 transforms (``rre``, ``mpe``, ``mmpe``, ``sbeta``, ``h``) consume a window
 of ``m + 2`` terms per cycle; lozenge-type transforms (``vea``, ``tea``,
-``stea1``, ``stea2``) consume ``2m + 1`` terms.  ``anderson`` runs its own
-one-step-per-cycle mixing loop instead of restarting.
+``stea1``, ``stea2``) consume ``2m + 1`` terms.  ``anderson`` takes one
+mixing step per cycle from the stop check's own evaluation, carrying its
+history from cycle to cycle, so its window costs no evaluation.
 
 Map evaluations are counted exactly: one evaluation establishes the
 reference residual at the starting guess (reused as the first stop check
 when no warmup runs), each later stop check costs one evaluation, and each
-completed cycle adds its warmup and window evaluations on top.
+completed cycle adds its warmup and window evaluations on top.  The warmup
+runs once before the first stop check; projection methods rerun it before
+every later one.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .scalar import BasisFamily, NonexistenceError
 from .vector import (
     AndersonState,
     VpeMethod,
-    _canonical_columns,
+    _mmpe_basis,
     anderson_step,
     h_algorithm,
     sbeta,
@@ -165,12 +168,12 @@ class CycleConfig:
 
     @property
     def inner_terms(self) -> int:
-        """Map evaluations spent building one window (1 for anderson)."""
+        """Map evaluations spent building one window (0 for anderson)."""
         if self.method in PROJECTION_METHODS:
             return self.width_m + 1
         if self.method in LOZENGE_METHODS:
             return 2 * self.width_m
-        return 1
+        return 0
 
 
 @dataclass(frozen=True)
@@ -235,18 +238,6 @@ def convergence_check(residual_norm: float, initial_norm: float,
     return residual_norm <= tol * initial_norm
 
 
-def _projection_columns(config: CycleConfig, dimension: int) -> np.ndarray:
-    k = config.width_m
-    if config.test_vectors is not None:
-        if config.test_vectors.shape[0] != dimension \
-                or config.test_vectors.shape[1] < k:
-            raise ValueError(
-                f"test_vectors must have {dimension} rows and at least "
-                f"{k} columns")
-        return np.asarray(config.test_vectors[:, :k])
-    return _canonical_columns(dimension, k)
-
-
 def _extrapolate(config: CycleConfig, seq: list[np.ndarray],
                  residual0: np.ndarray) -> np.ndarray:
     """Collapse one window of iterates; raises on transform breakdown."""
@@ -259,11 +250,11 @@ def _extrapolate(config: CycleConfig, seq: list[np.ndarray],
         return vpe_extrapolate(SequenceWindow(seq),
                                VpeMethod.mmpe(config.test_vectors), m).value
     if method == "sbeta":
-        cols = _projection_columns(config, seq[0].shape[0])
+        cols = _mmpe_basis(config.test_vectors, seq[0].shape[0], m)
         return sbeta(SequenceWindow(seq),
                      [cols[:, j] for j in range(m)]).value
     if method == "h":
-        cols = _projection_columns(config, seq[0].shape[0])
+        cols = _mmpe_basis(config.test_vectors, seq[0].shape[0], m)
         d1 = [seq[j + 1] - seq[j] for j in range(len(seq) - 1)]
         basis = BasisFamily(lambda i, n: float(cols[:, i - 1] @ d1[n]))
         table = h_algorithm(SequenceWindow(seq[:m + 1]), basis, m)
@@ -316,23 +307,24 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
     if reference == 0.0:
         return report(0, 0.0, [], "converged", 0)
 
-    if config.method == "anderson":
-        return _anderson_run(config, apply_map, current, g_current,
-                             reference, report)
+    def warmup(point: np.ndarray) -> np.ndarray:
+        for _ in range(config.warmup_p):
+            point = apply_map(point)
+        return point
 
+    if config.warmup_p:
+        current = warmup(current)
+        g_current = apply_map(current)
+    anderson = None
+    if config.method == "anderson":
+        depth = config.depth if config.depth is not None else config.width_m
+        anderson = AndersonState.start(current, depth=depth,
+                                       damping=config.damping)
     rewarm_each_cycle = config.method in PROJECTION_METHODS
-    inner_count = config.inner_terms
     history: list[float] = []
     fallbacks = 0
     cycles = 0
-    check_is_fresh = config.warmup_p == 0
     while True:
-        if not check_is_fresh:
-            if config.warmup_p and (rewarm_each_cycle or cycles == 0):
-                for _ in range(config.warmup_p):
-                    current = apply_map(current)
-            g_current = apply_map(current)
-        check_is_fresh = False
         res = float(np.linalg.norm(g_current - current))
         rel = res / reference
         if res > DIVERGENCE_FACTOR * reference:
@@ -346,44 +338,20 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
             return report(cycles, rel, history, "max_cycles", fallbacks)
         history.append(rel)
 
-        seq = [current]
-        for _ in range(inner_count):
-            seq.append(apply_map(seq[-1]))
-        try:
-            value = _extrapolate(config, seq, g_current - current)
-        except (NonexistenceError, BreakdownError, KeyError):
-            value = seq[-1]
-            fallbacks += 1
-        current = np.array(value, dtype=float)
+        if anderson is not None:
+            _, anderson = anderson_step(anderson, g_current)
+            current = anderson.current
+        else:
+            seq = [current]
+            for _ in range(config.inner_terms):
+                seq.append(apply_map(seq[-1]))
+            try:
+                value = _extrapolate(config, seq, g_current - current)
+            except (NonexistenceError, BreakdownError, KeyError):
+                value = seq[-1]
+                fallbacks += 1
+            current = np.array(value, dtype=float)
         cycles += 1
-
-
-def _anderson_run(config: CycleConfig, apply_map, current: np.ndarray,
-                  g_current: np.ndarray, reference: float,
-                  report) -> RunReport:
-    """One mixing step per cycle; the step's own evaluation feeds the check."""
-    if config.warmup_p:
-        for _ in range(config.warmup_p):
-            current = apply_map(current)
+        if rewarm_each_cycle:
+            current = warmup(current)
         g_current = apply_map(current)
-    depth = config.depth if config.depth is not None else config.width_m
-    state = AndersonState.start(current, depth=depth, damping=config.damping)
-    history: list[float] = []
-    cycles = 0
-    g = g_current
-    while True:
-        res = float(np.linalg.norm(g - state.current))
-        rel = res / reference
-        if res > DIVERGENCE_FACTOR * reference:
-            raise DivergenceError(
-                f"residual grew to {rel:.3e} times the starting residual")
-        if convergence_check(res, reference, config.tol):
-            reason = "warmup" if cycles == 0 and config.warmup_p > 0 \
-                else "converged"
-            return report(cycles, rel, history, reason, 0)
-        if cycles >= config.max_cycles:
-            return report(cycles, rel, history, "max_cycles", 0)
-        history.append(rel)
-        _, state = anderson_step(state, g)
-        cycles += 1
-        g = apply_map(state.current)

@@ -219,10 +219,12 @@ def _gamma_from_coefficients(a: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def _mmpe_basis(method: VpeMethod, dimension: int, k: int) -> np.ndarray:
-    if method.test_vectors is None:
+def _mmpe_basis(test_vectors: np.ndarray | None, dimension: int,
+                k: int) -> np.ndarray:
+    """The leading ``k`` test vectors, or the canonical columns if none."""
+    if test_vectors is None:
         return _canonical_columns(dimension, k)
-    y = np.asarray(method.test_vectors, dtype=np.float64)
+    y = np.asarray(test_vectors, dtype=np.float64)
     if y.shape[0] != dimension or y.shape[1] < k:
         raise ValueError(
             f"test_vectors must be {dimension} x >= {k}, got {y.shape}")
@@ -287,7 +289,7 @@ def vpe_extrapolate(window: SequenceWindow, method: VpeMethod, k: int,
         if fit.rank_deficient:
             extras["rank_deficient"] = 1.0
     else:
-        basis = _mmpe_basis(method, len(s0), k)
+        basis = _mmpe_basis(method.test_vectors, len(s0), k)
         try:
             a = lu_solve(basis.T @ d2, -(basis.T @ ds0), policy)
         except RankDeficiencyError as exc:
@@ -327,7 +329,7 @@ def vpe_oracle(window: SequenceWindow, method: VpeMethod, k: int,
     elif method.kind == "rre":
         rows = [d2[:, i] for i in range(k)]
     else:
-        basis = _mmpe_basis(method, s_rows.shape[1], k)
+        basis = _mmpe_basis(method.test_vectors, s_rows.shape[1], k)
         rows = [basis[:, i] for i in range(k)]
     alpha = np.array([[row @ d1[:, j] for j in range(k + 1)] for row in rows])
 

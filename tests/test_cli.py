@@ -9,7 +9,7 @@ import pytest
 
 from accelerant import cli
 from accelerant.core import SequenceWindow
-from accelerant.driver import CSV_HEADER
+from accelerant.driver import CSV_HEADER, FixedPointProblem
 from accelerant.problems import linear_iteration_generator
 from accelerant.scalar import epsilon_scalar
 
@@ -52,6 +52,16 @@ class TestScalarCommand:
         raw_error = 1.0 / 12.0
         accelerated_error = abs(parse_kv(out, "estimate"))
         assert accelerated_error >= raw_error / 5.0
+
+    def test_stagnation_reads_an_evicted_column(self, capsys):
+        # Eleven terms leave one entry in the best even column, so the
+        # accelerated step is taken against column k - 2, which a rolling
+        # table has already dropped.
+        code, out, _ = run_cli(capsys, ["scalar", "--series", "geom",
+                                        "--method", "rho", "--terms", "11"])
+        assert code == 0
+        assert "diagnostic: stagnation - accelerated step 4.688e-02 is not " \
+            "meaningfully below the raw step 9.766e-04" in out
 
     def test_theta_handles_the_logarithmic_series(self, capsys):
         code, out, _ = run_cli(capsys, ["scalar", "--series", "logseq",
@@ -242,6 +252,16 @@ class TestBenchCommand:
 
         assert stable(first) == stable(second)
 
+    @pytest.mark.parametrize("method", ["picard", "aitken", "rre"])
+    def test_nonpositive_budget_exits_one(self, capsys, method):
+        for budget in ("0", "-3"):
+            code, out, err = run_cli(capsys, [
+                "bench", "--problem", "linear", "--methods", method,
+                "--max-cycles", budget])
+            assert code == 1
+            assert out == ""
+            assert "--max-cycles: must be at least 1" in err
+
     def test_all_rows_failed_exits_three(self, capsys):
         code, out, _ = run_cli(capsys, ["bench", "--problem", "pde",
                                         "--grid", "20", "--methods", "tea",
@@ -265,7 +285,8 @@ class TestComponentwiseEpsilon:
             evals, _, status, accelerated = cli._run_componentwise(
                 problem, 0.0, steps, "epsilon", False,
                 cli._problem_norm("linear"))
-            assert (evals, status) == (steps, "max_cycles")
+            # the steps, and one evaluation for the final residual
+            assert (evals, status) == (steps + 1, "max_cycles")
             for c in range(4):
                 table = epsilon_scalar(
                     SequenceWindow([x[c] for x in history[:steps + 1]]),
@@ -288,3 +309,23 @@ def test_module_entry_point_runs():
         capture_output=True, text=True, timeout=120)
     assert result.returncode == 0
     assert "estimate = " in result.stdout
+
+
+@pytest.mark.parametrize("kind", ["aitken", "epsilon"])
+def test_componentwise_reports_every_map_call(kind):
+    problem = linear_iteration_generator(100, 0.9, 42).as_fixed_point()
+    calls = {"n": 0}
+
+    def mapping(u):
+        calls["n"] += 1
+        return problem.mapping(u)
+
+    counted = FixedPointProblem(problem.dimension, mapping,
+                                problem.initial_guess)
+    evals, final, status, _ = cli._run_componentwise(
+        counted, 1e-6, 1000, kind, False, cli._problem_norm("linear"))
+    assert status == "converged"
+    assert evals == calls["n"]
+    uncounted = cli._run_componentwise(
+        problem, 1e-6, 1000, kind, False, cli._problem_norm("linear"))
+    assert uncounted[:3] == (evals, final, status)

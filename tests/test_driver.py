@@ -97,7 +97,7 @@ class TestCycleConfig:
         assert CycleConfig(method="sbeta", width_m=4).inner_terms == 5
         assert CycleConfig(method="vea", width_m=4).inner_terms == 8
         assert CycleConfig(method="stea2", width_m=4).inner_terms == 8
-        assert CycleConfig(method="anderson", width_m=4).inner_terms == 1
+        assert CycleConfig(method="anderson", width_m=4).inner_terms == 0
 
 
 class TestConvergenceCheck:
@@ -213,7 +213,7 @@ class TestRunCycles:
         assert report.final_residual == 0.0
         assert report.reason == "converged"
 
-    @pytest.mark.parametrize("method", ["rre", "vea"])
+    @pytest.mark.parametrize("method", ["rre", "vea", "anderson"])
     def test_exact_accounting_without_warmup(self, method):
         problem, _, _ = affine_problem(6, 10)
         wrapped, counter = counted_problem(problem)
@@ -241,17 +241,20 @@ class TestRunCycles:
         assert counter["evals"] == expected == report.iterations
 
     def test_exact_accounting_with_warmup_lozenge(self):
-        # lozenge methods run the warmup once, before the first cycle only
-        problem, _, _ = affine_problem(8, 10)
-        wrapped, counter = counted_problem(problem)
-        config = CycleConfig(method="tea", width_m=4, warmup_p=3, tol=1e-9,
-                             max_cycles=50)
-        report = run_cycles(wrapped, config)
-        assert report.reason == "converged"
-        checks = report.cycles + 1
-        expected = 1 + config.warmup_p + checks \
-            + report.cycles * config.inner_terms
-        assert counter["evals"] == expected == report.iterations
+        # lozenge methods and anderson run the warmup once, before the
+        # first cycle only
+        for method in ("tea", "anderson"):
+            problem, _, _ = affine_problem(8, 10)
+            wrapped, counter = counted_problem(problem)
+            config = CycleConfig(method=method, width_m=4, warmup_p=3,
+                                 tol=1e-9, max_cycles=50)
+            report = run_cycles(wrapped, config)
+            assert report.reason == "converged"
+            assert report.cycles > 1
+            checks = report.cycles + 1
+            expected = 1 + config.warmup_p + checks \
+                + report.cycles * config.inner_terms
+            assert counter["evals"] == expected == report.iterations
 
     def test_history_matches_cycles_and_max_cycles_stop(self):
         problem, _, _ = affine_problem(9, 10, radius=0.95)
