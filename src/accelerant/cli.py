@@ -316,6 +316,8 @@ def _error_aware_stop(delta: float, prev_delta: float | None, tol: float,
 
 def _run_picard(problem: FixedPointProblem, tol: float, max_evals: int,
                 error_aware: bool, norm) -> tuple[int, float, str, np.ndarray]:
+    if max_evals < 1:
+        raise ValueError("max_evals must be at least 1")
     current = np.array(problem.initial_guess, dtype=float)
     initial = None
     prev_delta = None
@@ -357,6 +359,8 @@ def _componentwise_quotient(a, b, k, n):
 def _run_componentwise(problem: FixedPointProblem, tol: float, max_evals: int,
                        kind: str, error_aware: bool,
                        norm) -> tuple[int, float, str, np.ndarray]:
+    if max_evals < 1:
+        raise ValueError("max_evals must be at least 1")
     start = np.array(problem.initial_guess, dtype=float)
     recent = [start]
     diagonal = [start]
@@ -402,8 +406,7 @@ def _run_componentwise(problem: FixedPointProblem, tol: float, max_evals: int,
     return evals + 1, final, status, accelerated
 
 
-def _bench_row(method: str, args) -> BenchRow:
-    problem = _build_problem(args, args.seed)
+def _bench_row(method: str, args, problem: FixedPointProblem) -> BenchRow:
     error_aware = args.problem == "pagerank"
     norm = _problem_norm(args.problem)
     start = time.perf_counter()
@@ -446,7 +449,9 @@ def cmd_bench(args) -> int:
         print(f"error: unknown method(s) {', '.join(unknown)}; choose from "
               f"{', '.join(BENCH_METHODS)}", file=sys.stderr)
         return 1
-    rows = [_bench_row(name, args) for name in methods]
+    # every bundled map is stateless, so all rows share one build
+    problem = _build_problem(args, args.seed)
+    rows = [_bench_row(name, args, problem) for name in methods]
     _emit(_render_rows(rows, args.format), args.output)
     if all(row.status != "converged" for row in rows):
         return 3
@@ -465,20 +470,18 @@ def _positive_int(text: str) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-8,
-                        help="relative stopping tolerance (default 1e-8)")
-    parser.add_argument("--max-cycles", type=_positive_int, default=1000,
-                        help="iteration budget: restart cycles for vector "
-                             "methods, map evaluations otherwise (default 1000)")
     parser.add_argument("--seed", type=int, default=42,
                         help="seed behind every random choice (default 42)")
-    parser.add_argument("--format", choices=("csv", "md"), default="csv",
-                        help="table format for bench output (default csv)")
     parser.add_argument("--output", default=None,
                         help="write the table to this path instead of stdout")
 
 
 def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--tol", type=float, default=1e-8,
+                        help="relative stopping tolerance (default 1e-8)")
+    parser.add_argument("--max-cycles", type=_positive_int, default=1000,
+                        help="iteration budget: restart cycles for vector "
+                             "methods, map evaluations otherwise (default 1000)")
     parser.add_argument("--n", type=int, default=None,
                         help="problem size for linear/fredholm/pagerank "
                              "(defaults 100/500/5000)")
@@ -524,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="transformation to apply")
     scalar_p.add_argument("--terms", type=int, default=12,
                           help="terms to generate for --series (default 12)")
-    _add_common(scalar_p)
     scalar_p.set_defaults(func=cmd_scalar)
 
     solve_p = sub.add_parser(
@@ -554,6 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--problem", required=True, choices=BENCH_PROBLEMS)
     bench_p.add_argument("--methods", required=True,
                          help="comma-separated list, e.g. picard,rre,anderson")
+    bench_p.add_argument("--format", choices=("csv", "md"), default="csv",
+                         help="table format (default csv)")
     _add_problem_flags(bench_p)
     _add_common(bench_p)
     bench_p.set_defaults(func=cmd_bench)

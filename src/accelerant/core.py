@@ -126,13 +126,19 @@ class Estimate:
             raise ValueError("order_k must be nonnegative")
 
 
-def _freeze_term(term) -> Term:
-    """Normalize a raw term: scalars to float, vectors to read-only arrays."""
-    if isinstance(term, (int, float, np.integer, np.floating)):
-        return float(term)
-    arr = np.array(term, dtype=np.float64, copy=True)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("vector terms must be one-dimensional with N >= 1")
+def _frozen_array(value, label: str, ndim: int,
+                  length: int | None = None) -> np.ndarray:
+    """A read-only float64 copy of ``value`` with ``ndim`` dimensions.
+
+    ``length``, when given, fixes the first dimension; every entry must be
+    finite.  Raises ValueError naming ``label`` otherwise.
+    """
+    arr = np.array(value, dtype=np.float64)
+    if arr.ndim != ndim or (length is not None and arr.shape[0] != length):
+        of_length = "" if length is None else f" of length {length}"
+        raise ValueError(f"{label} must be a {ndim}-D array{of_length}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{label} must be finite")
     arr.flags.writeable = False
     return arr
 
@@ -141,18 +147,27 @@ class SequenceWindow:
     """Immutable contiguous buffer of sequence terms ``s_n, s_{n+1}, ...``.
 
     Terms are either all scalars or all vectors of one common dimension;
-    ``base_index`` is the sequence index of the first stored term.  Adding
-    a term goes through :func:`push_term`, which returns a new window.
+    ``base_index`` is the sequence index of the first stored term.  They
+    are held once, as the rows of one read-only C-order (count x N) array,
+    scalars as a single column.  Adding a term goes through
+    :func:`push_term`, which returns a new window.
     """
 
-    __slots__ = ("_terms", "_base")
+    __slots__ = ("_rows", "_scalar", "_base")
 
     def __init__(self, terms: Iterable = (), base_index: int = 0):
-        frozen = tuple(_freeze_term(t) for t in terms)
-        dims = {t.shape[0] if isinstance(t, np.ndarray) else None for t in frozen}
-        if len(dims) > 1:
-            raise ValueError("all terms must share one kind and dimension")
-        self._terms = frozen
+        try:
+            rows = np.array(list(terms), dtype=np.float64)
+        except ValueError as exc:
+            raise ValueError("terms must all be numbers or all be vectors of "
+                             "one dimension") from exc
+        self._scalar = rows.ndim == 1
+        if self._scalar:
+            rows = rows.reshape(-1, 1)
+        elif rows.ndim != 2 or rows.shape[1] < 1:
+            raise ValueError("vector terms must be one-dimensional with N >= 1")
+        rows.flags.writeable = False
+        self._rows = rows
         self._base = int(base_index)
 
     @property
@@ -161,61 +176,67 @@ class SequenceWindow:
 
     @property
     def last_index(self) -> int:
-        return self._base + len(self._terms) - 1
+        return self._base + len(self._rows) - 1
 
     @property
     def is_scalar(self) -> bool:
-        return not self._terms or not isinstance(self._terms[0], np.ndarray)
+        return self._scalar
 
     @property
     def dimension(self) -> int | None:
         """Common vector dimension N, or None for scalar/empty windows."""
-        if self._terms and isinstance(self._terms[0], np.ndarray):
-            return self._terms[0].shape[0]
-        return None
+        return None if self._scalar else self._rows.shape[1]
 
     @property
     def terms(self) -> tuple:
-        return self._terms
+        """Python floats for a scalar window, read-only rows otherwise."""
+        if self._scalar:
+            return tuple(self._rows[:, 0].tolist())
+        return tuple(self._rows)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._rows)
 
     def __iter__(self):
-        return iter(self._terms)
+        return iter(self.terms)
 
     def term(self, n: int) -> Term:
         """The term with absolute sequence index ``n``."""
         if not (self._base <= n <= self.last_index):
             raise IndexError(
                 f"index {n} outside window [{self._base}, {self.last_index}]")
-        return self._terms[n - self._base]
+        row = self._rows[n - self._base]
+        return float(row[0]) if self._scalar else row
+
+    def rows(self, index: int, count: int) -> np.ndarray:
+        """Terms ``s_index .. s_{index+count-1}`` as a read-only row view.
+
+        The view is C-order (count x N, scalars as one column), so
+        differences between rows run over contiguous memory.  Where a BLAS
+        product or a dot product follows, its result depends on the operand
+        layout, so those callers take an N x count C-order copy
+        (``.T.copy()``).
+        """
+        if index < self._base or index + count - 1 > self.last_index:
+            raise ValueError(
+                f"window covers indices {self._base}..{self.last_index}, "
+                f"need {index}..{index + count - 1}")
+        start = index - self._base
+        return self._rows[start:start + count]
 
     def as_matrix(self) -> np.ndarray:
         """Stack vector terms as columns (N x len); scalars as a 1 x len row."""
-        if self.is_scalar:
-            return np.array(self._terms, dtype=np.float64).reshape(1, -1)
-        return np.column_stack(self._terms)
+        return self._rows.T.copy()
 
     def __repr__(self) -> str:
         kind = "scalar" if self.is_scalar else f"vector[{self.dimension}]"
-        return (f"SequenceWindow({kind}, len={len(self._terms)}, "
+        return (f"SequenceWindow({kind}, len={len(self)}, "
                 f"base={self._base})")
 
 
 def push_term(window: SequenceWindow, term) -> SequenceWindow:
     """Append one term, returning a new window with the same base index."""
-    frozen = _freeze_term(term)
-    if len(window) > 0:
-        incoming = frozen.shape[0] if isinstance(frozen, np.ndarray) else None
-        if incoming != window.dimension:
-            raise ValueError(
-                f"term dimension {incoming} does not match window "
-                f"dimension {window.dimension}")
-    new = SequenceWindow.__new__(SequenceWindow)
-    new._terms = window._terms + (frozen,)
-    new._base = window._base
-    return new
+    return SequenceWindow([*window, term], window.base_index)
 
 
 def forward_difference(window: SequenceWindow, order: int, index: int) -> Term:

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import BreakdownError, SequenceWindow
+from .core import BreakdownError, SequenceWindow, _frozen_array
 from .scalar import BasisFamily, NonexistenceError
 from .vector import (
     AndersonState,
@@ -64,16 +64,6 @@ class DivergenceError(RuntimeError):
     """The monitored residual outgrew the divergence guard."""
 
 
-def _freeze(value: np.ndarray, dimension: int, label: str) -> np.ndarray:
-    arr = np.array(value, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] != dimension:
-        raise ValueError(f"{label} must be a vector of length {dimension}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{label} must be finite")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class FixedPointProblem:
     """A fixed-point problem u = G(u) with a designated starting guess.
@@ -91,13 +81,10 @@ class FixedPointProblem:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be positive")
-        object.__setattr__(self, "initial_guess",
-                           _freeze(self.initial_guess, self.dimension,
-                                   "initial_guess"))
-        if self.solution is not None:
-            object.__setattr__(self, "solution",
-                               _freeze(self.solution, self.dimension,
-                                       "solution"))
+        for name in ("initial_guess", "solution"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _frozen_array(
+                    getattr(self, name), name, 1, self.dimension))
 
     def residual(self, point: np.ndarray) -> np.ndarray:
         """F(u) = G(u) - u at the given point (one map evaluation)."""
@@ -113,10 +100,9 @@ class CycleConfig:
     ``warmup_p`` the number of plain iterations run before the window is
     collected.  ``test_vectors`` supplies projection columns for the
     ``mmpe``/``sbeta``/``h`` methods (canonical basis columns by default);
-    ``weight`` supplies the pairing vector for ``tea``/``stea1``/``stea2``
-    (default: the current cycle's residual).  ``depth`` and ``damping``
-    configure ``anderson`` only, with ``depth`` falling back to
-    ``width_m`` when unset.
+    ``tea``/``stea1``/``stea2`` pair with the current cycle's residual.
+    ``depth`` and ``damping`` configure ``anderson`` only, with ``depth``
+    falling back to ``width_m`` when unset.
     """
 
     method: str
@@ -125,7 +111,6 @@ class CycleConfig:
     tol: float = 1e-8
     max_cycles: int = 100
     test_vectors: Optional[np.ndarray] = None
-    weight: Optional[np.ndarray] = None
     depth: Optional[int] = None
     damping: float = 1.0
 
@@ -147,17 +132,10 @@ class CycleConfig:
             raise ValueError("max_cycles must be at least 1")
         object.__setattr__(self, "max_cycles", int(self.max_cycles))
         if self.test_vectors is not None:
-            tv = np.array(self.test_vectors, dtype=float)
-            if tv.ndim != 2 or tv.size == 0 or not np.all(np.isfinite(tv)):
-                raise ValueError("test_vectors must be a finite matrix")
-            tv.setflags(write=False)
+            tv = _frozen_array(self.test_vectors, "test_vectors", 2)
+            if tv.size == 0:
+                raise ValueError("test_vectors must be nonempty")
             object.__setattr__(self, "test_vectors", tv)
-        if self.weight is not None:
-            wv = np.array(self.weight, dtype=float)
-            if wv.ndim != 1 or not np.all(np.isfinite(wv)):
-                raise ValueError("weight must be a finite vector")
-            wv.setflags(write=False)
-            object.__setattr__(self, "weight", wv)
         if self.depth is not None:
             if int(self.depth) < 0:
                 raise ValueError("depth must be nonnegative")
@@ -238,9 +216,10 @@ def convergence_check(residual_norm: float, initial_norm: float,
     return residual_norm <= tol * initial_norm
 
 
-def _extrapolate(config: CycleConfig, seq: list[np.ndarray],
+def _extrapolate(config: CycleConfig, seq: np.ndarray,
                  residual0: np.ndarray) -> np.ndarray:
-    """Collapse one window of iterates; raises on transform breakdown."""
+    """Collapse one window of iterates (the rows of ``seq``); raises on
+    transform breakdown."""
     m = config.width_m
     method = config.method
     if method in ("rre", "mpe"):
@@ -259,13 +238,12 @@ def _extrapolate(config: CycleConfig, seq: list[np.ndarray],
         basis = BasisFamily(lambda i, n: float(cols[:, i - 1] @ d1[n]))
         table = h_algorithm(SequenceWindow(seq[:m + 1]), basis, m)
         return table.get_entry(m, 0)
-    weight = config.weight if config.weight is not None else residual0
     if method == "vea":
         return vea(SequenceWindow(seq)).get_entry(2 * m, 0)
     if method == "tea":
-        return tea(SequenceWindow(seq), weight, m).value
+        return tea(SequenceWindow(seq), residual0, m).value
     variant = 1 if method == "stea1" else 2
-    return stea(SequenceWindow(seq), weight, m, variant).value
+    return stea(SequenceWindow(seq), residual0, m, variant).value
 
 
 def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
@@ -321,6 +299,11 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
         anderson = AndersonState.start(current, depth=depth,
                                        damping=config.damping)
     rewarm_each_cycle = config.method in PROJECTION_METHODS
+    # One buffer, reused by every cycle, holds the iterates the window
+    # copies.  Kept in fresh arrays per cycle instead, they let glibc trim
+    # and regrow the heap every cycle (twice the page faults on
+    # reaction_diffusion(80), for the same arithmetic).
+    seq = np.empty((config.inner_terms + 1, dimension))
     history: list[float] = []
     fallbacks = 0
     cycles = 0
@@ -342,9 +325,9 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
             _, anderson = anderson_step(anderson, g_current)
             current = anderson.current
         else:
-            seq = [current]
-            for _ in range(config.inner_terms):
-                seq.append(apply_map(seq[-1]))
+            seq[0] = current
+            for j in range(config.inner_terms):
+                seq[j + 1] = apply_map(seq[j])
             try:
                 value = _extrapolate(config, seq, g_current - current)
             except (NonexistenceError, BreakdownError, KeyError):

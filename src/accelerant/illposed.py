@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import _frozen_array
 from .linalg import jacobi_svd
 
 __all__ = [
@@ -39,22 +40,6 @@ STAGNATION_SLACK = 1e-3
 _ORTHONORMALITY_TOL = 1e-9
 
 
-def _frozen_matrix(a, name: str) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    if out.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D array")
-    out.setflags(write=False)
-    return out
-
-
-def _frozen_vector(b, name: str) -> np.ndarray:
-    out = np.array(b, dtype=float)
-    if out.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D array")
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class SvdModel:
     """A linear system presented through its singular value decomposition.
@@ -74,19 +59,17 @@ class SvdModel:
     noise_level: float | None = None
 
     def __post_init__(self) -> None:
-        u = _frozen_matrix(self.u, "u")
-        v = _frozen_matrix(self.v, "v")
-        sigma = _frozen_vector(self.sigma, "sigma")
-        rhs = _frozen_vector(self.rhs, "rhs")
+        u = _frozen_array(self.u, "u", 2)
+        v = _frozen_array(self.v, "v", 2)
+        sigma = _frozen_array(self.sigma, "sigma", 1)
+        rhs = _frozen_array(self.rhs, "rhs", 1)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "rhs", rhs)
         if self.clean_rhs is not None:
-            clean = _frozen_vector(self.clean_rhs, "clean_rhs")
-            if clean.shape != rhs.shape:
-                raise ValueError("clean_rhs must match rhs in length")
-            object.__setattr__(self, "clean_rhs", clean)
+            object.__setattr__(self, "clean_rhs", _frozen_array(
+                self.clean_rhs, "clean_rhs", 1, rhs.size))
 
         rank = sigma.size
         if rank == 0:
@@ -148,8 +131,8 @@ class TsvdSequence:
     renumbered: bool = field(default=False)
 
     def __post_init__(self) -> None:
-        coeffs = _frozen_vector(self.coefficients, "coefficients")
-        vectors = _frozen_matrix(self.vectors, "vectors")
+        coeffs = _frozen_array(self.coefficients, "coefficients", 1)
+        vectors = _frozen_array(self.vectors, "vectors", 2)
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "vectors", vectors)
         if vectors.shape[1] != coeffs.size:
@@ -203,8 +186,8 @@ class FilterFactors:
     alpha: np.ndarray
 
     def __post_init__(self) -> None:
-        gamma = _frozen_vector(self.gamma, "gamma")
-        alpha = _frozen_vector(self.alpha, "alpha")
+        gamma = _frozen_array(self.gamma, "gamma", 1)
+        alpha = _frozen_array(self.alpha, "alpha", 1)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "alpha", alpha)
         if gamma.size != alpha.size + 1:

@@ -87,7 +87,12 @@ class GmresTrace:
 
 
 def _as_matrix(a) -> np.ndarray:
-    m = np.array(a, dtype=np.float64, order="F")
+    """``a`` as a column-major float64 matrix, copied only when it is not one.
+
+    The result may be the caller's own array: code that writes into it
+    copies it first.
+    """
+    m = np.asarray(a, dtype=np.float64, order="F")
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError("expected a 2-D matrix with at least one row and column")
     if not np.all(np.isfinite(m)):

@@ -26,6 +26,7 @@ from .core import (
     Estimate,
     SequenceWindow,
     Tableau,
+    _frozen_array,
     _lozenge_table,
     breakdown_check,
     forward_difference,
@@ -52,32 +53,6 @@ __all__ = [
 _TABLEAU_POLICY = BreakdownPolicy(action="skip-entry")
 
 _VPE_KINDS = ("mpe", "rre", "mmpe")
-
-
-def _freeze_vector(value) -> np.ndarray:
-    arr = np.array(value, dtype=np.float64, copy=True)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("expected a one-dimensional vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("vector entries must be finite")
-    arr.flags.writeable = False
-    return arr
-
-
-def _window_rows(window: SequenceWindow, index: int, count: int) -> np.ndarray:
-    """Terms ``s_index .. s_{index+count-1}`` as the rows of a C-order array.
-
-    Differences between rows run over contiguous memory.  Where a BLAS
-    product or a dot product follows, its result depends on the operand
-    layout, so those callers take an N x count C-order copy (``.T.copy()``).
-    """
-    if index < window.base_index or index + count - 1 > window.last_index:
-        raise ValueError(
-            f"window covers indices {window.base_index}..{window.last_index}, "
-            f"need {index}..{index + count - 1}")
-    return np.array([np.atleast_1d(np.asarray(window.term(index + j),
-                                              dtype=np.float64))
-                     for j in range(count)])
 
 
 def _canonical_columns(dimension: int, k: int) -> np.ndarray:
@@ -115,12 +90,9 @@ class VpeMethod:
         if self.test_vectors is not None:
             if kind != "mmpe":
                 raise ValueError("test vectors only apply to the mmpe kind")
-            y = np.array(self.test_vectors, dtype=np.float64, copy=True)
-            if y.ndim != 2 or y.size == 0:
-                raise ValueError("test_vectors must be a nonempty N x k matrix")
-            if not np.all(np.isfinite(y)):
-                raise ValueError("test_vectors must be finite")
-            y.flags.writeable = False
+            y = _frozen_array(self.test_vectors, "test_vectors", 2)
+            if y.size == 0:
+                raise ValueError("test_vectors must be nonempty")
             object.__setattr__(self, "test_vectors", y)
 
     @classmethod
@@ -156,9 +128,9 @@ class VpeResult:
     diagnostics: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "value", _freeze_vector(self.value))
-        object.__setattr__(self, "gamma", _freeze_vector(self.gamma))
-        object.__setattr__(self, "residual", _freeze_vector(self.residual))
+        for name in ("value", "gamma", "residual"):
+            object.__setattr__(self, name,
+                               _frozen_array(getattr(self, name), name, 1))
         if self.order_k < 0:
             raise ValueError("order_k must be nonnegative")
         if len(self.gamma) != self.order_k + 1:
@@ -172,7 +144,7 @@ class TeaWeight:
     y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "y", _freeze_vector(self.y))
+        object.__setattr__(self, "y", _frozen_array(self.y, "y", 1))
         if not np.any(self.y):
             raise ValueError("the dual vector must be nonzero")
 
@@ -200,7 +172,7 @@ def generalized_residual(window: SequenceWindow, coefficients: Sequence[float],
 
 def _difference_rows(window: SequenceWindow, n: int, count: int):
     """Rows ``s_n ..``, ``ds_n ..`` and ``d2s_n ..`` of ``count`` terms."""
-    s_rows = _window_rows(window, n, count)
+    s_rows = window.rows(n, count)
     d1 = s_rows[1:] - s_rows[:-1]
     d2 = d1[1:] - d1[:-1]
     return s_rows, d1, d2
@@ -256,7 +228,7 @@ def vpe_extrapolate(window: SequenceWindow, method: VpeMethod, k: int,
     if k < 0:
         raise ValueError("order k must be nonnegative")
     if k == 0:
-        s_rows = _window_rows(window, n, 2)
+        s_rows = window.rows(n, 2)
         ds0 = s_rows[1] - s_rows[0]
         return VpeResult(value=s_rows[0], gamma=np.ones(1), residual=ds0,
                          order_k=0, pilot_index_n=n,
@@ -321,7 +293,7 @@ def vpe_oracle(window: SequenceWindow, method: VpeMethod, k: int,
     if k < 0 or k > 6:
         raise ValueError("oracle orders are limited to 0 <= k <= 6")
     if k == 0:
-        return _window_rows(window, n, 1)[0]
+        return window.rows(n, 1)[0].copy()
     s_rows, d1_rows, d2_rows = _difference_rows(window, n, k + 2)
     d1, d2 = d1_rows.T.copy(), d2_rows.T.copy()
     if method.kind == "mpe":
@@ -371,7 +343,7 @@ def sbeta(window: SequenceWindow, test_vectors: Sequence, index: int | None = No
     count = window.last_index - n0 + 1
     if count < k + 2:
         raise ValueError(f"need at least {k + 2} terms from index {n0} for depth {k}")
-    s_rows = _window_rows(window, n0, count)
+    s_rows = window.rows(n0, count)
     s_level = list(s_rows)
     b_level = list(s_rows[1:] - s_rows[:-1])
     last_ratio = 0.0
@@ -398,7 +370,7 @@ def sbeta(window: SequenceWindow, test_vectors: Sequence, index: int | None = No
             if j == 0:
                 last_ratio = a
         s_level, b_level = new_s, new_b
-    return Estimate(value=_freeze_vector(s_level[0]), order_k=k,
+    return Estimate(value=_frozen_array(s_level[0], "value", 1), order_k=k,
                     pilot_index_n=n0,
                     diagnostics={"last_ratio": last_ratio,
                                  "beta_norm": float(np.linalg.norm(b_level[0]))})
@@ -419,7 +391,7 @@ def h_algorithm(window: SequenceWindow, basis, k_max: int,
     component with the scalar recursion run on each coordinate against the
     same auxiliaries.
     """
-    entries = [np.atleast_1d(np.asarray(t, dtype=np.float64)) for t in window]
+    entries = list(window.rows(window.base_index, len(window)))
     return _e_recursion(entries, window.base_index, basis, k_max, policy,
                         keep_full)[0]
 
@@ -436,10 +408,10 @@ def vea(window: SequenceWindow,
     """
     if len(window) < 3:
         raise ValueError("need at least three terms")
-    dim = 1 if window.is_scalar else window.dimension
-    entries = [np.atleast_1d(np.asarray(t, dtype=np.float64)) for t in window]
-    return _lozenge_table(entries, window.base_index, _norm, _vector_inverse,
-                          policy, keep_full, zero=np.zeros(dim))
+    rows = window.rows(window.base_index, len(window))
+    return _lozenge_table(list(rows), window.base_index, _norm,
+                          _vector_inverse, policy, keep_full,
+                          zero=np.zeros(rows.shape[1]))
 
 
 def _norm(vector: np.ndarray) -> float:
@@ -472,8 +444,9 @@ def tea(window: SequenceWindow, weight, k: int, index: int | None = None,
     if k < 0:
         raise ValueError("order k must be nonnegative")
     if k == 0:
-        value = _window_rows(window, n, 1)[0]
-        return Estimate(value=_freeze_vector(value), order_k=0, pilot_index_n=n)
+        value = window.rows(n, 1)[0]
+        return Estimate(value=_frozen_array(value, "value", 1), order_k=0,
+                        pilot_index_n=n)
     s_rows, d1_rows, d2_rows = _difference_rows(window, n, 2 * k + 1)
     if s_rows.shape[1] != len(y):
         raise ValueError("dual vector dimension does not match the sequence")
@@ -494,8 +467,8 @@ def tea(window: SequenceWindow, weight, k: int, index: int | None = None,
             "gamma_sum": float(gamma.sum())}
     for j, g in enumerate(gamma):
         diag[f"gamma_{j}"] = float(g)
-    return Estimate(value=_freeze_vector(value), order_k=k, pilot_index_n=n,
-                    diagnostics=diag)
+    return Estimate(value=_frozen_array(value, "value", 1), order_k=k,
+                    pilot_index_n=n, diagnostics=diag)
 
 
 def stea(window: SequenceWindow, weight, k: int, variant: int,
@@ -524,11 +497,11 @@ def stea(window: SequenceWindow, weight, k: int, variant: int,
     n0 = window.base_index if index is None else index
     if k < 0:
         raise ValueError("order k must be nonnegative")
-    s_rows = _window_rows(window, n0, 2 * k + 1)
+    s_rows = window.rows(n0, 2 * k + 1)
     if s_rows.shape[1] != len(y):
         raise ValueError("dual vector dimension does not match the sequence")
     if k == 0:
-        return Estimate(value=_freeze_vector(s_rows[0]), order_k=0,
+        return Estimate(value=_frozen_array(s_rows[0], "value", 1), order_k=0,
                         pilot_index_n=n0, diagnostics={"variant": float(variant)})
     s_cols = s_rows.T.copy()  # the pairings' dot products round by stride
     pairings = SequenceWindow((y @ s_cols[:, j] for j in range(2 * k + 1)),
@@ -562,7 +535,7 @@ def stea(window: SequenceWindow, weight, k: int, variant: int,
             ratio = (target - anchor) / spread
             nxt[n] = current[n + 1] + ratio * (current[hi] - current[lo])
         current = nxt
-    return Estimate(value=_freeze_vector(current[n0]), order_k=k,
+    return Estimate(value=_frozen_array(current[n0], "value", 1), order_k=k,
                     pilot_index_n=n0, diagnostics={"variant": float(variant)})
 
 
@@ -588,12 +561,11 @@ class AndersonState:
             raise ValueError("depth must be nonnegative")
         if not self.damping > 0.0:
             raise ValueError("damping must be positive")
-        if not self.iterates:
-            raise ValueError("state must hold at least one iterate")
-        object.__setattr__(self, "iterates",
-                           tuple(_freeze_vector(x) for x in self.iterates))
-        object.__setattr__(self, "residuals",
-                           tuple(_freeze_vector(f) for f in self.residuals))
+        if not self.iterates or not np.size(self.iterates[0]):
+            raise ValueError("state must hold at least one nonempty iterate")
+        for name in ("iterates", "residuals"):
+            object.__setattr__(self, name, tuple(
+                _frozen_array(x, name, 1) for x in getattr(self, name)))
 
     @classmethod
     def start(cls, x0, depth: int, damping: float = 1.0) -> "AndersonState":

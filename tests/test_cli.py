@@ -109,6 +109,16 @@ class TestScalarCommand:
         assert code == 2
         assert "breakdown" in err
 
+    def test_output_flag_is_rejected(self, capsys, tmp_path):
+        # the estimate always goes to stdout, so --output is not offered
+        target = tmp_path / "F"
+        code, out, _ = run_cli(capsys, ["scalar", "--series", "log2",
+                                        "--method", "epsilon",
+                                        "--output", str(target)])
+        assert code == 1
+        assert out == ""
+        assert not target.exists()
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, ["scalar", "--help"])
         assert code == 0
@@ -262,6 +272,22 @@ class TestBenchCommand:
             assert out == ""
             assert "--max-cycles: must be at least 1" in err
 
+    def test_problem_is_built_once_per_call(self, capsys, monkeypatch):
+        build = cli._build_problem
+        calls = []
+
+        def counted(args, seed):
+            calls.append(seed)
+            return build(args, seed)
+
+        monkeypatch.setattr(cli, "_build_problem", counted)
+        code, out, _ = run_cli(capsys, ["bench", "--problem", "fredholm",
+                                        "--n", "50", "--methods",
+                                        "picard,aitken,rre", "--tol", "1e-6"])
+        assert code == 0
+        assert len(out.strip().splitlines()) == 4
+        assert calls == [42]
+
     def test_all_rows_failed_exits_three(self, capsys):
         code, out, _ = run_cli(capsys, ["bench", "--problem", "pde",
                                         "--grid", "20", "--methods", "tea",
@@ -326,3 +352,14 @@ def test_componentwise_reports_every_map_call(kind):
         counted, 1e-6, 1000, kind, False, cli._problem_norm("linear"))
     assert status == "converged"
     assert evals == calls["n"]
+
+
+@pytest.mark.parametrize("run", [
+    lambda problem: cli._run_picard(problem, 1e-6, 0, False, np.linalg.norm),
+    lambda problem: cli._run_componentwise(problem, 1e-6, 0, "epsilon", False,
+                                           np.linalg.norm),
+], ids=["picard", "componentwise"])
+def test_zero_evaluation_budget_is_rejected(run):
+    problem = linear_iteration_generator(10, 0.9, 42).as_fixed_point()
+    with pytest.raises(ValueError, match="max_evals must be at least 1"):
+        run(problem)

@@ -56,6 +56,20 @@ def test_window_terms_are_immutable():
         w.term(0)[0] = 5.0
 
 
+def test_rows_view_the_stored_terms():
+    w = SequenceWindow([(1.0, 2.0), (3.0, 4.0), (5.0, 6.0)], base_index=2)
+    rows = w.rows(3, 2)
+    np.testing.assert_array_equal(rows, [[3.0, 4.0], [5.0, 6.0]])
+    assert rows.flags.c_contiguous and not rows.flags.writeable
+    assert np.shares_memory(rows, w.term(3))
+    with pytest.raises(ValueError):
+        w.rows(1, 2)
+    with pytest.raises(ValueError):
+        w.rows(3, 3)
+    np.testing.assert_array_equal(SequenceWindow([1.0, 2.0]).rows(0, 2),
+                                  [[1.0], [2.0]])
+
+
 def test_term_lookup_respects_base_index():
     w = SequenceWindow([10.0, 11.0, 12.0], base_index=4)
     assert w.term(4) == 10.0

@@ -195,6 +195,20 @@ class TestRreTsvd:
             rre_tsvd(model, 2)
 
 
+@pytest.mark.parametrize("field", ["u", "v", "sigma", "rhs", "gamma"])
+def test_nonfinite_input_is_rejected(field):
+    values = {"u": np.eye(2), "v": np.eye(2), "sigma": np.array([2.0, 1.0]),
+              "rhs": np.array([1.0, 1.0]), "gamma": np.array([0.5, 0.5])}
+    # every comparison with NaN is false, so only a finiteness check stops it
+    values[field].flat[0] = np.nan
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        if field == "gamma":
+            FilterFactors(gamma=values["gamma"], alpha=[0.5])
+        else:
+            SvdModel(u=values["u"], sigma=values["sigma"], v=values["v"],
+                     rhs=values["rhs"])
+
+
 class TestFilterFactors:
     def test_rejects_unnormalized_gamma(self):
         with pytest.raises(ValueError, match="sum to one"):
