@@ -1,12 +1,13 @@
-"""Bit-identity of the lozenge and E/H recursions against recorded outputs.
+"""Bit-identity of the tableau builders against recorded outputs.
 
 ``golden_recursions.json`` holds the tableaux of ``epsilon_scalar``,
-``rho``, ``vea``, ``e_algorithm`` (with its auxiliaries) and
+``rho``, ``theta``, ``vea``, ``richardson_table`` (standard and
+step-halving nodes), ``e_algorithm`` (with its auxiliaries) and
 ``h_algorithm`` on a fixed set of windows, as ``float.hex`` strings, with
 the flagged positions and the ``BreakdownError`` fields raised under
-``action="error"``.  The file was written by the separate per-recursion
-implementations that the shared lozenge update and the single E-recursion
-replaced; every value must still match exactly.
+``action="error"``; and, for the default table that evicts old columns,
+its stored columns, entries and best estimate.  Every value must match
+exactly.
 
 Regenerate (only on purpose, when a recursion's arithmetic changes) with
 ``PYTHONPATH=src python tests/test_golden.py --write``.
@@ -15,12 +16,21 @@ Regenerate (only on purpose, when a recursion's arithmetic changes) with
 import json
 import pathlib
 import sys
+import warnings
 
 import numpy as np
 
 from accelerant.core import BreakdownError, BreakdownPolicy, SequenceWindow
 from accelerant.problems import series_generator
-from accelerant.scalar import BasisFamily, e_algorithm, epsilon_scalar, rho
+from accelerant.scalar import (
+    BasisFamily,
+    NodeSequence,
+    e_algorithm,
+    epsilon_scalar,
+    rho,
+    richardson_table,
+    theta,
+)
 from accelerant.vector import h_algorithm, vea
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_recursions.json")
@@ -28,6 +38,7 @@ GOLDEN = pathlib.Path(__file__).with_name("golden_recursions.json")
 SERIES = ("log2", "leibniz_pi", "logarithmic", "geometric_mixture")
 
 ERROR_POLICY = BreakdownPolicy(action="error")
+SKIP_POLICY = BreakdownPolicy(action="skip-entry")
 
 
 def windows() -> dict[str, SequenceWindow]:
@@ -63,6 +74,24 @@ def _table(table) -> dict:
             "flagged": [list(p) for p in table.flagged_entries()]}
 
 
+def node_sets(window: SequenceWindow) -> dict[str, NodeSequence]:
+    """The standard nodes x_n = n + 1 and step-halving nodes 2**-j."""
+    halving = NodeSequence.step_halving(len(window)).values
+    return {"standard": NodeSequence.standard(len(window), window.base_index),
+            "step_halving": NodeSequence(halving, window.base_index)}
+
+
+def _evicting(table) -> dict:
+    """What the default table, which evicts old columns, still holds."""
+    try:
+        best = table.best_estimate()
+        best = [best.order_k, best.pilot_index_n, _hex(best.value)]
+    except BreakdownError:
+        best = None
+    return {"columns": table.stored_columns(), "best": best,
+            "entries": _table(table)["entries"]}
+
+
 def _error_fields(run) -> dict | None:
     try:
         run()
@@ -73,27 +102,42 @@ def _error_fields(run) -> dict | None:
 
 
 def record() -> dict:
-    """Every recorded output, keyed ``function/window[/basis]``."""
+    """Every recorded output, keyed ``function/window[/basis or nodes]``."""
+    with warnings.catch_warnings():
+        # standard nodes have ratios near 1 on the longer windows
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return _record()
+
+
+def _record() -> dict:
     out = {}
     for name, window in windows().items():
-        calls = {"vea": lambda p, w=window: vea(w, p, keep_full=True)}
+        calls = {"vea": lambda p, full, w=window: vea(w, p, keep_full=full)}
         if window.is_scalar:
-            calls["epsilon_scalar"] = \
-                lambda p, w=window: epsilon_scalar(w, p, keep_full=True)
-            calls["rho"] = lambda p, w=window: rho(w, None, p, keep_full=True)
+            calls["epsilon_scalar"] = lambda p, full, w=window: \
+                epsilon_scalar(w, p, keep_full=full)
+            calls["rho"] = lambda p, full, w=window: \
+                rho(w, None, p, keep_full=full)
+            calls["theta"] = lambda p, full, w=window: \
+                theta(w, p, keep_full=full)
+            for nodes_name, x in node_sets(window).items():
+                calls[f"richardson_table/{nodes_name}"] = \
+                    lambda p, full, w=window, x=x: \
+                    richardson_table(w, x, p, keep_full=full)
         k_max = min(4, len(window) - 1)
         for basis_name, basis in bases(window).items():
             calls[f"h_algorithm/{basis_name}"] = \
-                lambda p, w=window, b=basis: h_algorithm(w, b, k_max, p,
-                                                         keep_full=True)
+                lambda p, full, w=window, b=basis: \
+                h_algorithm(w, b, k_max, p, keep_full=full)
             if window.is_scalar:
                 calls[f"e_algorithm/{basis_name}"] = \
-                    lambda p, w=window, b=basis: e_algorithm(
-                        w, b, k_max, p, keep_full=True, return_aux=True)
+                    lambda p, full, w=window, b=basis: \
+                    e_algorithm(w, b, k_max, p, keep_full=full,
+                                return_aux=True)
         for label, call in calls.items():
-            function, _, basis_name = label.partition("/")
-            key = "/".join(filter(None, (function, name, basis_name)))
-            result = call(BreakdownPolicy(action="skip-entry"))
+            function, _, variant = label.partition("/")
+            key = "/".join(filter(None, (function, name, variant)))
+            result = call(SKIP_POLICY, True)
             if isinstance(result, tuple):
                 table, aux = result
                 entry = _table(table)
@@ -102,7 +146,11 @@ def record() -> dict:
                                 for (k, i), col in sorted(aux.items())}
             else:
                 entry = _table(result)
-            entry["error"] = _error_fields(lambda c=call: c(ERROR_POLICY))
+            entry["error"] = _error_fields(lambda c=call: c(ERROR_POLICY, True))
+            evicting = call(SKIP_POLICY, False)
+            if isinstance(evicting, tuple):
+                evicting = evicting[0]
+            entry["evicting"] = _evicting(evicting)
             out[key] = entry
     return out
 
@@ -121,6 +169,8 @@ def test_golden_inputs_reach_the_breakdown_paths():
         for name in ("ties", "constant"):
             assert expected[f"{function}/{name}"]["flagged"]
             assert expected[f"{function}/{name}"]["error"] is not None
+    for name in ("ties", "constant"):
+        assert expected[f"theta/{name}"]["flagged"]
     for function in ("e_algorithm", "h_algorithm"):
         assert expected[f"{function}/ties/terms"]["flagged"]
         assert expected[f"{function}/constant/terms"]["error"] is not None
