@@ -33,7 +33,6 @@ from .core import (
     BreakdownError,
     DEFAULT_POLICY,
     SequenceWindow,
-    _lozenge_update,
     breakdown_check,
     read_sequence_file,
 )
@@ -349,11 +348,28 @@ def _componentwise_aitken(s0, s1, s2):
     return np.where(np.isfinite(out), out, s2)
 
 
-def _componentwise_quotient(a, b, k, n):
-    """Inverse difference per component, NaN where a component breaks down."""
-    d = b - a
-    safe = breakdown_check(d, np.maximum(np.abs(a), np.abs(b)))
-    return np.where(safe, 1.0 / d, np.nan)
+def _lozenge_update(diagonal: list, term) -> list:
+    """Wynn's ascending-diagonal step of componentwise epsilon.
+
+    ``diagonal`` holds the entries e_k^(n) with k + n = i - 1, column 0
+    first; the result holds those with k + n = i, from ``term`` = e_0^(i)
+    and e_k^(n) = e_{k-2}^(n+1) + 1/(e_{k-1}^(n+1) - e_{k-1}^(n)) per
+    component, with e_{-1} = 0.  A component whose difference breaks down
+    is NaN, and so is every later entry that reads it.  Adding one term
+    costs one inverse difference per column, so the running sequence
+    extends its table without rebuilding it.
+    """
+    new = [term]
+    back = 0.0
+    for a in diagonal:
+        b = new[-1]
+        d = b - a
+        safe = breakdown_check(d, np.maximum(np.abs(a), np.abs(b)))
+        q = np.where(safe, 1.0 / d, np.nan)
+        q += back
+        new.append(q)
+        back = a
+    return new
 
 
 def _run_componentwise(problem: FixedPointProblem, tol: float, max_evals: int,
@@ -374,8 +390,7 @@ def _run_componentwise(problem: FixedPointProblem, tol: float, max_evals: int,
             initial = max(norm(recent[-1] - start), _TINY)
         if kind == "epsilon":
             with np.errstate(all="ignore"):
-                diagonal = _lozenge_update(diagonal, recent[-1], evals,
-                                           _componentwise_quotient)
+                diagonal = _lozenge_update(diagonal, recent[-1])
         if evals < 2:
             continue
         if kind == "aitken":

@@ -5,15 +5,17 @@ is built on the three primitives in this module:
 
 * :class:`SequenceWindow` — an immutable, contiguous buffer of scalar or
   vector terms with forward-difference access;
-* :class:`Tableau` — two-column rolling storage for lozenge recursions
-  (epsilon, rho, theta, E, H) with per-entry breakdown flags;
+* :class:`Tableau` — two-column rolling storage for the triangular
+  tables (Richardson, epsilon, rho, theta, E, H) with per-entry
+  breakdown flags;
 * :func:`breakdown_check` / :class:`BreakdownPolicy` — the single shared
   rule deciding when a denominator is too small to divide by.
 
-The lozenge recursion behind epsilon, rho and the vector epsilon
-transform is written once, as Wynn's ascending-diagonal update
-(``_lozenge_update``) with a pluggable quotient; ``_lozenge_table`` fills
-a :class:`Tableau` from it.
+One column sweep (``_column_sweep``) fills every tableau: Richardson,
+epsilon, rho, theta and the E/H recursions each supply only their entry
+formula and the parents it reads, and the sweep alone decides how a
+breakdown spreads, when it raises and where a table ends.  The diagonal
+form of the lozenge update is the command line's streaming kernel.
 
 All arithmetic is plain 64-bit binary floating point.
 """
@@ -259,16 +261,16 @@ def forward_difference(window: SequenceWindow, order: int, index: int) -> Term:
 
 
 class Tableau:
-    """Rolling two-column storage for lozenge recursions.
+    """Rolling two-column storage for triangular recursion tables.
 
     Entries are indexed ``(k, n)`` with ``k`` the column (transformation
     order) and ``n`` the shift.  By default only the two most recent
-    columns are retained (older ones are evicted once no recursion can
-    still read them); ``keep_full=True`` disables eviction for debugging
-    and oracle tests.  A record of which entries ever existed is kept for
-    all columns so the structural invariant — entry ``(k, n)`` requires
-    parents ``(k-1, n)`` and ``(k-1, n+1)`` unless ``k`` is -1 or 0 — can
-    be enforced even after eviction.
+    columns are retained: starting column k evicts the columns no
+    recursion writing it can still read, those up to k - 3, and
+    ``compact`` keeps the last two; ``keep_full=True`` disables eviction
+    for debugging and oracle tests.  Entry ``(k, n)`` requires parents
+    ``(k-1, n)`` and ``(k-1, n+1)``, stored or flagged, unless ``k`` is
+    -1 or 0, so tables fill column by column.
 
     ``estimate_parity`` marks which columns hold genuine limit estimates:
     ``"even"`` for epsilon-type tables whose odd columns are auxiliary,
@@ -281,7 +283,6 @@ class Tableau:
         self.keep_full = bool(keep_full)
         self.estimate_parity = estimate_parity
         self._columns: dict[int, dict[int, Term]] = {}
-        self._written: dict[int, set[int]] = {}
         self._flags: set[tuple[int, int]] = set()
 
     # -- structural queries -------------------------------------------------
@@ -290,9 +291,6 @@ class Tableau:
         """True when entry (k, n) is stored (evicted or flagged entries: False)."""
         return k in self._columns and n in self._columns[k] \
             and (k, n) not in self._flags
-
-    def ever_written(self, k: int, n: int) -> bool:
-        return k in self._written and n in self._written[k]
 
     def is_flagged(self, k: int, n: int) -> bool:
         return (k, n) in self._flags
@@ -308,22 +306,24 @@ class Tableau:
     # -- mutation -----------------------------------------------------------
 
     def set_entry(self, k: int, n: int, value: Term) -> None:
+        columns = self._columns
         if k not in (-1, 0):
-            if not (self.ever_written(k - 1, n) and self.ever_written(k - 1, n + 1)):
+            parents, flags = columns.get(k - 1, ()), self._flags
+            if not ((n in parents or (k - 1, n) in flags)
+                    and (n + 1 in parents or (k - 1, n + 1) in flags)):
                 raise ValueError(
                     f"entry ({k}, {n}) requires parents ({k - 1}, {n}) "
                     f"and ({k - 1}, {n + 1})")
-        self._columns.setdefault(k, {})[n] = value
-        self._written.setdefault(k, set()).add(n)
-        if not self.keep_full:
-            # Writing column k still reads columns k-1 and k-2; anything
-            # older can no longer be touched by the recursion.
-            for old in [c for c in self._columns if c <= k - 3]:
-                del self._columns[old]
+        column = columns.get(k)
+        if column is None:
+            column = columns[k] = {}
+            if not self.keep_full:
+                for old in [c for c in columns if c <= k - 3]:
+                    del columns[old]
+        column[n] = value
 
     def flag_breakdown(self, k: int, n: int) -> None:
         """Mark entry (k, n) as broken; reads of it raise from then on."""
-        self._written.setdefault(k, set()).add(n)
         self._flags.add((k, n))
 
     def compact(self) -> None:
@@ -374,88 +374,82 @@ class Tableau:
         raise BreakdownError("tableau holds no valid estimate")
 
 
-def _lozenge_update(diagonal: list, term, index: int, quotient) -> list:
-    """Wynn's ascending-diagonal step of the lozenge recursion.
+#: Parents (k - dk, n + dn) of a lozenge entry (k, n), as (dk, dn).
+_LOZENGE = ((1, 0), (1, 1), (2, 1))
 
-    ``diagonal`` holds the entries e_k^(n) with k + n = index - 1, column 0
-    first; the result holds those with k + n = index, from ``term`` =
-    e_0^(index) and
 
-        e_k^(n) = e_{k-2}^(n+1) + quotient(e_{k-1}^(n), e_{k-1}^(n+1), k, n),
+def _column_sweep(entries: list, base: int, rules, policy: BreakdownPolicy,
+                  keep_full: bool, zero: Term | None = None,
+                  last_column: int | None = None) -> Tableau:
+    """Fill a :class:`Tableau` column by column from column 0 ``entries``.
 
-    with e_{-1} = 0.  ``quotient`` returns a fresh value, to which e_{k-2}
-    is added in place, or None where entry (k, n) breaks down; every entry
-    that reads a None entry is None as well.  Adding one term costs one
-    quotient per column, so a running sequence extends its table without
-    rebuilding it.
+    Column 0 starts at index ``base``.  ``zero``, when given, is column -1
+    (one entry longer) of a lozenge-type table, whose even columns are the
+    estimates; otherwise every column is.  Column k >= 1 follows
+    ``rules[k % len(rules)]``, a triple ``(parents, gap, step)``: entry
+    (k, n) reads the entries (k - dk, n + dn) for (dk, dn) in ``parents``,
+    in that order, ``gap(k, n, *reads)`` returns ``(carry, denominator,
+    scale)``, and ``step(k, n, carry, denominator, *reads)`` returns the
+    entry once :func:`breakdown_check` passes on denominator and scale.
+
+    This is the one place that decides how a breakdown spreads: an entry
+    that reads a flagged one is flagged, and one whose check fails raises
+    :class:`BreakdownError` under ``action="error"`` and is flagged
+    otherwise.  Column k covers every n whose parents exist; the table ends
+    with its first column that holds no valid entry, or after
+    ``last_column``, and is then compacted.
     """
-    new = [term]
-    back = 0.0
-    for k, a in enumerate(diagonal, start=1):
-        b = new[-1]
-        if a is None or b is None or back is None:
-            new.append(None)
-        else:
-            q = quotient(a, b, k, index - k)
-            if q is not None:
-                q += back
-            new.append(q)
-        back = a
-    return new
-
-
-def _lozenge_table(entries: list, base: int, size, inverse,
-                   policy: BreakdownPolicy, keep_full: bool,
-                   zero: Term = 0.0) -> Tableau:
-    """Even-estimate :class:`Tableau` of a lozenge recursion.
-
-    ``entries`` is column 0 from index ``base``.  Entry (k, n) adds
-    ``inverse(d, size(d), k, n)`` to e_{k-2}^(n+1), with d the difference
-    of its parents e_{k-1}^(n+1) - e_{k-1}^(n); it breaks down when
-    :func:`breakdown_check` fails on ``size(d)`` against the larger parent
-    size.  Broken entries are flagged with everything that reads them, and
-    the table ends with its first column that holds no valid entry; under
-    ``action="error"`` the first breakdown in column order raises instead.
-    """
-    failures = []
-
-    def quotient(a, b, k, n):
-        d = b - a
-        denominator = size(d)
-        scale = max(size(a), size(b))
-        if breakdown_check(denominator, scale, policy):
-            return inverse(d, denominator, k, n)
-        failures.append((k, n, denominator, scale))
-        return None
-
-    # Entries go into the table diagonal by diagonal, so the table's own
-    # eviction frees the columns no later read needs as the sweep goes.
-    t = Tableau(keep_full=keep_full, estimate_parity="even")
-    for n in range(base, base + len(entries) + 1):
-        t.set_entry(-1, n, zero)
-    diagonal, broken, deepest = [], [], 0
-    for i, term in enumerate(entries):
-        diagonal = _lozenge_update(diagonal, term, base + i, quotient)
-        for k, value in enumerate(diagonal):
-            if value is None:
-                broken.append((k, base + i - k))
+    table = Tableau(keep_full, "all" if zero is None else "even")
+    last = {0: base + len(entries) - 1}
+    if zero is not None:
+        last[-1] = base + len(entries)
+        for n in range(base, last[-1] + 1):
+            table.set_entry(-1, n, zero)
+    for i, entry in enumerate(entries):
+        table.set_entry(0, base + i, entry)
+    columns = table._columns
+    k = 1
+    while last_column is None or k <= last_column:
+        parents, gap, step = rules[k % len(rules)]
+        sources = [(columns[k - dk], dn) for dk, dn in parents]
+        last[k] = min(last[k - dk] - dn for dk, dn in parents)
+        alive = False
+        for n in range(base, last[k] + 1):
+            try:
+                reads = [column[n + dn] for column, dn in sources]
+            except KeyError:  # flagged entries are not stored
+                table.flag_breakdown(k, n)
+                continue
+            carry, denominator, scale = gap(k, n, *reads)
+            if breakdown_check(denominator, scale, policy):
+                table.set_entry(k, n, step(k, n, carry, denominator, *reads))
+                alive = True
+            elif policy.action == "error":
+                raise BreakdownError(
+                    f"breakdown at tableau entry ({k}, {n})", order_k=k,
+                    index_n=n, denominator=denominator, scale=scale)
             else:
-                t.set_entry(k, base + i - k, value)
-                if k > deepest:
-                    deepest = k
-    if failures and policy.action == "error":
-        k, n, denominator, scale = min(failures)
-        raise BreakdownError(f"breakdown at tableau entry ({k}, {n})",
-                             order_k=k, index_n=n, denominator=denominator,
-                             scale=scale)
-    # A valid entry needs valid parents, so the columns holding one are
-    # 0..deepest; like a column sweep, the table ends with column
-    # deepest + 1, the first without one, and flags nothing deeper.
-    for k, n in broken:
-        if k <= deepest + 1:
-            t.flag_breakdown(k, n)
-    t.compact()
-    return t
+                table.flag_breakdown(k, n)
+        if not alive:
+            break
+        k += 1
+    table.compact()
+    return table
+
+
+def _lozenge_rule(size, step) -> tuple:
+    """The :func:`_column_sweep` rule of a lozenge column.
+
+    Entry (k, n) is ``step(k, n, d, size(d), a, b, back)`` with a, b its
+    parents e_{k-1}^(n), e_{k-1}^(n+1), back = e_{k-2}^(n+1) and
+    d = b - a; it breaks down when :func:`breakdown_check` fails on
+    ``size(d)`` against the larger parent size.
+    """
+    def gap(k, n, a, b, back):
+        d = b - a
+        return d, size(d), max(size(a), size(b))
+
+    return _LOZENGE, gap, step
 
 
 def read_sequence_file(path) -> SequenceWindow:

@@ -5,7 +5,9 @@ One-shot transforms (:func:`aitken_step`, :func:`shanks_oracle`,
 (:func:`richardson_table`, :func:`epsilon_scalar`, :func:`rho`,
 :func:`theta`, :func:`e_algorithm`) flag broken entries and suppress
 everything that depends on them, unless the supplied policy's action is
-``"error"``.
+``"error"``.  Each builder supplies only its entry formula and the
+parents it reads; one column sweep in :mod:`accelerant.core` fills the
+table and applies that breakdown rule for all of them.
 
 Estimates of the lozenge recursions live in the even tableau columns; odd
 columns are auxiliary quantities only.
@@ -25,7 +27,8 @@ from .core import (
     Estimate,
     SequenceWindow,
     Tableau,
-    _lozenge_table,
+    _column_sweep,
+    _lozenge_rule,
     breakdown_check,
     forward_difference,
 )
@@ -328,19 +331,28 @@ def _require_scalar(window: SequenceWindow, what: str) -> None:
         raise ValueError(f"{what} applies to scalar windows")
 
 
-def _breakdown_or_flag(table: Tableau, k: int, n: int, denom: float,
-                       scale: float, policy: BreakdownPolicy) -> bool:
-    """Shared handling of a failed denominator inside a tableau builder.
+#: Parents (k - dk, n + dn) of a Richardson or E entry (k, n), as (dk, dn).
+_ADJACENT = ((1, 0), (1, 1))
 
-    Returns True when the entry was flagged (skip-entry), raises when the
-    policy demands an error.
-    """
-    if policy.action == "error":
-        raise BreakdownError(
-            f"breakdown at tableau entry ({k}, {n})",
-            order_k=k, index_n=n, denominator=abs(denom), scale=scale)
-    table.flag_breakdown(k, n)
-    return True
+#: Parents of theta's even entry (k, n): o_{k-1}^(n..n+2), o_{k-2}^(n+1..n+2).
+_THETA_EVEN = ((1, 0), (1, 1), (1, 2), (2, 1), (2, 2))
+
+
+def _inverse_step(k, n, d, size, a, b, back):
+    return back + 1.0 / d
+
+
+#: The inverse-difference lozenge column of epsilon and of theta's odd step.
+_INVERSE_RULE = _lozenge_rule(abs, _inverse_step)
+
+
+def _theta_gap(k, n, o0, o1, o2, e1, e2):
+    denom = o2 - 2.0 * o1 + o0
+    return denom, abs(denom), max(abs(o2 - o1), abs(o1 - o0))
+
+
+def _theta_step(k, n, denom, size, o0, o1, o2, e1, e2):
+    return e1 + (e2 - e1) * (o2 - o1) / denom
 
 
 def richardson_table(window: SequenceWindow, nodes: NodeSequence,
@@ -356,36 +368,23 @@ def richardson_table(window: SequenceWindow, nodes: NodeSequence,
     assumes ratios bounded away from 1.
     """
     _require_scalar(window, "node-based extrapolation")
-    base, length = window.base_index, len(window)
-    for i in range(length):
-        nodes.value(base + i)  # eager coverage check
+    base = window.base_index
+    x = {n: nodes.value(n) for n in range(base, window.last_index + 1)}
     if nodes.ratios_near_one():
         warnings.warn(
             "consecutive node ratios lie close to 1; extrapolation may "
             "converge slowly or not at all", RuntimeWarning, stacklevel=2)
-    t = Tableau(keep_full=keep_full, estimate_parity="all")
-    for i, s in enumerate(window):
-        t.set_entry(0, base + i, float(s))
-    for k in range(1, length):
-        alive = False
-        for n in range(base, base + length - k):
-            try:
-                a = t.get_entry(k - 1, n)
-                b = t.get_entry(k - 1, n + 1)
-            except BreakdownError:
-                t.flag_breakdown(k, n)
-                continue
-            xn, xnk = nodes.value(n), nodes.value(n + k)
-            denom = xnk - xn
-            if not breakdown_check(denom, max(abs(xn), abs(xnk)), policy):
-                _breakdown_or_flag(t, k, n, denom, max(abs(xn), abs(xnk)), policy)
-                continue
-            t.set_entry(k, n, a - xn * (b - a) / denom)
-            alive = True
-        if not alive:
-            break
-    t.compact()
-    return t
+
+    def gap(k, n, a, b):
+        xn, xnk = x[n], x[n + k]
+        denom = xnk - xn
+        return denom, abs(denom), max(abs(xn), abs(xnk))
+
+    def step(k, n, denom, size, a, b):
+        return a - x[n] * (b - a) / denom
+
+    return _column_sweep(list(window.terms), base, ((_ADJACENT, gap, step),),
+                         policy, keep_full)
 
 
 def epsilon_scalar(window: SequenceWindow,
@@ -402,8 +401,8 @@ def epsilon_scalar(window: SequenceWindow,
     _require_scalar(window, "the inverse-difference recursion")
     if len(window) < 3:
         raise ValueError("need at least three terms")
-    return _lozenge_table([float(s) for s in window], window.base_index, abs,
-                          lambda d, size, k, n: 1.0 / d, policy, keep_full)
+    return _column_sweep(list(window.terms), window.base_index,
+                         (_INVERSE_RULE,), policy, keep_full, zero=0.0)
 
 
 def rho(window: SequenceWindow, nodes: NodeSequence | None = None,
@@ -420,16 +419,16 @@ def rho(window: SequenceWindow, nodes: NodeSequence | None = None,
         raise ValueError("need at least three terms")
     base, length = window.base_index, len(window)
     if nodes is None:
-        nodes = NodeSequence.standard(length + 1, start_index=base)
-    else:
-        if not nodes.is_strictly_increasing():
-            raise ValueError("nodes must be strictly increasing")
-        for i in range(length):
-            nodes.value(base + i)
-    x = nodes.value
-    return _lozenge_table([float(s) for s in window], base, abs,
-                          lambda d, size, k, n: (x(n + k) - x(n)) / d,
-                          policy, keep_full)
+        nodes = NodeSequence.standard(length, start_index=base)
+    elif not nodes.is_strictly_increasing():
+        raise ValueError("nodes must be strictly increasing")
+    x = {n: nodes.value(n) for n in range(base, base + length)}
+
+    def step(k, n, d, size, a, b, back):
+        return back + (x[n + k] - x[n]) / d
+
+    return _column_sweep(list(window.terms), base, (_lozenge_rule(abs, step),),
+                         policy, keep_full, zero=0.0)
 
 
 def theta(window: SequenceWindow,
@@ -447,55 +446,10 @@ def theta(window: SequenceWindow,
     _require_scalar(window, "the damped recursion")
     if len(window) < 4:
         raise ValueError("need at least four terms")
-    base, length = window.base_index, len(window)
-    t = Tableau(keep_full=keep_full, estimate_parity="even")
-    for n in range(base, base + length + 1):
-        t.set_entry(-1, n, 0.0)
-    for i, s in enumerate(window):
-        t.set_entry(0, base + i, float(s))
-    for k_col in range(1, length):
-        alive = False
-        even_step = k_col % 2 == 0
-        for n in range(base, base + length):
-            try:
-                if not even_step:
-                    # needs (k-1, n), (k-1, n+1), (k-2, n+1)
-                    if not (t.ever_written(k_col - 1, n + 1)
-                            and t.ever_written(k_col - 2, n + 1)):
-                        break
-                    a = t.get_entry(k_col - 1, n)
-                    b = t.get_entry(k_col - 1, n + 1)
-                    back = t.get_entry(k_col - 2, n + 1)
-                    denom = b - a
-                    scale = max(abs(a), abs(b))
-                    if not breakdown_check(denom, scale, policy):
-                        _breakdown_or_flag(t, k_col, n, denom, scale, policy)
-                        continue
-                    t.set_entry(k_col, n, back + 1.0 / denom)
-                else:
-                    # needs (k-1, n..n+2) and (k-2, n+1..n+2)
-                    if not (t.ever_written(k_col - 1, n + 2)
-                            and t.ever_written(k_col - 2, n + 2)):
-                        break
-                    o0 = t.get_entry(k_col - 1, n)
-                    o1 = t.get_entry(k_col - 1, n + 1)
-                    o2 = t.get_entry(k_col - 1, n + 2)
-                    e1 = t.get_entry(k_col - 2, n + 1)
-                    e2 = t.get_entry(k_col - 2, n + 2)
-                    denom = o2 - 2.0 * o1 + o0
-                    scale = max(abs(o2 - o1), abs(o1 - o0))
-                    if not breakdown_check(denom, scale, policy):
-                        _breakdown_or_flag(t, k_col, n, denom, scale, policy)
-                        continue
-                    t.set_entry(k_col, n, e1 + (e2 - e1) * (o2 - o1) / denom)
-                alive = True
-            except BreakdownError:
-                t.flag_breakdown(k_col, n)
-                continue
-        if not alive:
-            break
-    t.compact()
-    return t
+    # column k follows rules[k % 2]: even columns the five-parent step
+    rules = ((_THETA_EVEN, _theta_gap, _theta_step), _INVERSE_RULE)
+    return _column_sweep(list(window.terms), window.base_index, rules, policy,
+                         keep_full, zero=0.0)
 
 
 def e_algorithm(window: SequenceWindow, basis: BasisFamily, k_max: int,
@@ -516,8 +470,8 @@ def e_algorithm(window: SequenceWindow, basis: BasisFamily, k_max: int,
     ``aux[(k, i)][n]`` holds g_{k,i}^(n).
     """
     _require_scalar(window, "the general recursion")
-    t, aux = _e_recursion([float(s) for s in window], window.base_index,
-                          basis, k_max, policy, keep_full)
+    t, aux = _e_recursion(list(window.terms), window.base_index, basis, k_max,
+                          policy, keep_full)
     if return_aux:
         return t, aux
     return t
@@ -528,59 +482,42 @@ def _e_recursion(entries: list, base: int, basis: BasisFamily, k_max: int,
     """The general recursion over column 0 ``entries`` from index ``base``.
 
     Entries are floats (:func:`e_algorithm`) or vectors (the vector form,
-    ``h_algorithm``); the auxiliaries are scalars either way.  Returns the
-    tableau and ``aux[(k, i)][n]`` = g_{k,i}^(n).
+    ``h_algorithm``); the auxiliaries are scalars either way, and entry
+    (k, n) breaks down on the auxiliary denominator
+    g_{k-1,k}^(n+1) - g_{k-1,k}^(n).  Returns the tableau and
+    ``aux[(k, i)][n]`` = g_{k,i}^(n), for i up to ``k_max``.
     """
     length = len(entries)
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     if length < k_max + 1:
         raise ValueError(f"need at least {k_max + 1} terms for order {k_max}")
-    i_max = k_max  # auxiliary families used up to index k_max
-    t = Tableau(keep_full=keep_full, estimate_parity="all")
-    for i, entry in enumerate(entries):
-        t.set_entry(0, base + i, entry)
     aux: dict[tuple[int, int], dict[int, float]] = {}
-    for i in range(1, i_max + 1):
+    for i in range(1, k_max + 1):
         aux[(0, i)] = {base + j: basis.value(i, base + j) for j in range(length)}
-    dead: set[tuple[int, int]] = set()  # broken auxiliary positions (k, n)
     for k in range(1, k_max + 1):
-        alive = False
-        for i in range(k + 1, i_max + 1):
+        for i in range(k + 1, k_max + 1):
             aux[(k, i)] = {}
-        for n in range(base, base + length - k):
-            if (k - 1, n) in dead or (k - 1, n + 1) in dead:
-                dead.add((k, n))
-                t.flag_breakdown(k, n)
-                continue
-            g = aux[(k - 1, k)]
-            denom = g[n + 1] - g[n]
-            scale = max(abs(g[n]), abs(g[n + 1]))
-            if not breakdown_check(denom, scale, policy):
-                if policy.action == "error":
-                    raise BreakdownError(
-                        f"auxiliary denominator vanishes at ({k}, {n})",
-                        order_k=k, index_n=n, denominator=abs(denom),
-                        scale=scale)
-                dead.add((k, n))
-                t.flag_breakdown(k, n)
-                continue
-            ratio = g[n] / denom
-            try:
-                e0 = t.get_entry(k - 1, n)
-                e1 = t.get_entry(k - 1, n + 1)
-            except BreakdownError:
-                dead.add((k, n))
-                t.flag_breakdown(k, n)
-                continue
-            t.set_entry(k, n, e0 - ratio * (e1 - e0))
-            for i in range(k + 1, i_max + 1):
-                gi = aux[(k - 1, i)]
-                aux[(k, i)][n] = gi[n] - ratio * (gi[n + 1] - gi[n])
-            alive = True
-        if not alive:
-            break
-    t.compact()
+
+    def gap(k, n, e0, e1):
+        g = aux[(k - 1, k)]
+        denom = g[n + 1] - g[n]
+        return denom, abs(denom), max(abs(g[n]), abs(g[n + 1]))
+
+    def step(k, n, denom, size, e0, e1):
+        ratio = aux[(k - 1, k)][n] / denom
+        for i in range(k + 1, k_max + 1):
+            gi = aux[(k - 1, i)]
+            aux[(k, i)][n] = gi[n] - ratio * (gi[n + 1] - gi[n])
+        return e0 - ratio * (e1 - e0)
+
+    t = _column_sweep(entries, base, ((_ADJACENT, gap, step),), policy,
+                      keep_full, last_column=k_max)
+    # The sweep never reached the columns past its first without a valid
+    # entry; their auxiliaries do not exist.
+    deepest = t.stored_columns()[-1]
+    for key in [key for key in aux if key[0] > deepest + 1]:
+        del aux[key]
     return t, aux
 
 

@@ -26,8 +26,9 @@ from .core import (
     Estimate,
     SequenceWindow,
     Tableau,
+    _column_sweep,
     _frozen_array,
-    _lozenge_table,
+    _lozenge_rule,
     breakdown_check,
     forward_difference,
 )
@@ -409,18 +410,19 @@ def vea(window: SequenceWindow,
     if len(window) < 3:
         raise ValueError("need at least three terms")
     rows = window.rows(window.base_index, len(window))
-    return _lozenge_table(list(rows), window.base_index, _norm,
-                          _vector_inverse, policy, keep_full,
-                          zero=np.zeros(rows.shape[1]))
+    return _column_sweep(list(rows), window.base_index,
+                         (_lozenge_rule(_norm, _vector_step),), policy,
+                         keep_full, zero=np.zeros(rows.shape[1]))
 
 
 def _norm(vector: np.ndarray) -> float:
     return float(np.linalg.norm(vector))
 
 
-def _vector_inverse(d: np.ndarray, size: float, k: int, n: int) -> np.ndarray:
-    """z^{-1} = z / ||z||^2, in place: ``d`` is a fresh difference."""
+def _vector_step(k, n, d, size, a, b, back):
+    """back + d / ||d||^2, in place: ``d`` is a fresh difference."""
     d /= size * size
+    d += back
     return d
 
 

@@ -252,7 +252,7 @@ def test_rolling_eviction_keeps_recent_columns():
     assert min(t.stored_columns()) >= 3  # writing column 5 evicts <= 2
     t.compact()
     assert t.stored_columns() == [4, 5]
-    # the existence record survives eviction, so parents still validate
+    # column 5 is still stored, so the parents of (6, 0) validate
     t.set_entry(6, 0, 60.0)
 
 

@@ -102,6 +102,11 @@ class TestLinearIterationGenerator:
         assert np.allclose(problem.residual(iteration.solution),
                            np.zeros(6), atol=1e-12)
 
+    def test_nonfinite_matrix_is_rejected(self):
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            LinearIteration(matrix=[[math.nan]], offset=[0.0], solution=None,
+                            spectral_radius_estimate=0.5)
+
 
 def assembled_laplacian(p_grid: int, spacing: float) -> np.ndarray:
     n = p_grid * p_grid
@@ -222,6 +227,15 @@ class TestFredholm:
     def test_needs_two_nodes(self):
         with pytest.raises(ValueError):
             fredholm(1, 0.5)
+
+    def test_nonfinite_kernel_is_rejected(self):
+        disc = fredholm_discretization(5, 0.5)
+        kernel = np.array(disc.kernel_matrix)
+        kernel[2, 3] = math.inf
+        with pytest.raises(ValueError, match="kernel_matrix must be finite"):
+            FredholmDiscretization(nodes=disc.nodes, weights=disc.weights,
+                                   kernel_matrix=kernel, coupling=0.5,
+                                   source=disc.source)
 
 
 def iterate_to_fixed_point(problem, steps=400):

@@ -323,6 +323,19 @@ def test_theta_accelerates_logarithmic_sequence():
     assert theta_tail * 10.0 <= raw_tail
 
 
+def test_theta_error_policy_raises():
+    error = BreakdownPolicy(action="error")
+    w = SequenceWindow([1.0, 1.5, 1.75, 1.875, 1.875, 1.9, 2.0])
+    with pytest.raises(BreakdownError) as raised:
+        theta(w, policy=error)
+    exc = raised.value
+    # the entry and magnitudes epsilon_scalar reports on the same window
+    assert (exc.order_k, exc.index_n) == (1, 3)
+    assert exc.denominator == 0.0 and exc.scale == 1.875
+    with pytest.raises(BreakdownError):
+        theta(SequenceWindow([1.5] * 6), policy=error)
+
+
 # -- e_algorithm -------------------------------------------------------------
 
 def test_e_algorithm_single_geometric_basis():
