@@ -85,10 +85,11 @@ BENCH_HEADER = "method,iterations,final_residual,seconds,status"
 
 _DEFAULT_N = {"linear": 100, "fredholm": 500, "pagerank": 5000}
 
-# Restarted projection with a fixed test basis needs enough smoothing
-# steps per cycle on stiff problems; twenty is the shipped default that
-# keeps the mmpe rows convergent on the hardest bundled benchmark.
-_MMPE_WARMUP = 20
+# Projection with a fixed test basis needs seeded random test vectors (with
+# canonical columns a cycle on an affine map returns its own start) and
+# twenty smoothing steps per cycle to converge on the stiffest benchmark.
+_TEST_BASIS_METHODS = ("mmpe", "sbeta", "h")
+_TEST_BASIS_WARMUP = 20
 
 
 def _fmt(value: float) -> str:
@@ -225,9 +226,9 @@ def _problem_norm(problem_name: str):
 def _cycle_config(args, method: str, dimension: int) -> CycleConfig:
     warmup = args.p
     test_vectors = None
-    if method == "mmpe":
+    if method in _TEST_BASIS_METHODS:
         if warmup is None:
-            warmup = _MMPE_WARMUP
+            warmup = _TEST_BASIS_WARMUP
         rng = np.random.default_rng(args.seed)
         test_vectors = qr_mgs(rng.standard_normal((dimension, args.m))).q
     return CycleConfig(method=method, width_m=args.m,
@@ -518,7 +519,7 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
                         help="restart width for vector methods (default 5)")
     parser.add_argument("--p", type=int, default=None,
                         help="warmup map applications per cycle (default 0; "
-                             "mmpe defaults to 20)")
+                             "mmpe, sbeta and h default to 20)")
     parser.add_argument("--depth", type=int, default=5,
                         help="history depth for anderson (default 5)")
     parser.add_argument("--damping", type=float, default=1.0,

@@ -385,6 +385,8 @@ def pagerank(graph: SparseGraph, alpha: float = 0.85,
         v = np.full(n, 1.0 / n)
     else:
         v = np.array(personalization, dtype=float)
+        if not np.all(np.isfinite(v)):
+            raise ValueError("personalization must be finite")
         if v.shape != (n,) or np.any(v < 0.0):
             raise ValueError("personalization must be a nonnegative N-vector")
         total = v.sum()
@@ -394,13 +396,9 @@ def pagerank(graph: SparseGraph, alpha: float = 0.85,
     v.setflags(write=False)
 
     degrees = graph.out_degrees
-    sources = np.concatenate([
-        np.full(len(targets), node, dtype=int)
-        for node, targets in enumerate(graph.out_edges)
-    ]) if graph.edge_count else np.empty(0, dtype=int)
-    targets = np.concatenate([
-        np.array(t, dtype=int) for t in graph.out_edges if t
-    ]) if graph.edge_count else np.empty(0, dtype=int)
+    sources = np.repeat(np.arange(n), degrees)
+    targets = np.fromiter((t for out in graph.out_edges for t in out),
+                          dtype=int, count=sources.size)
     inverse_degree = np.zeros(n)
     linked = degrees > 0
     inverse_degree[linked] = 1.0 / degrees[linked]
@@ -408,9 +406,8 @@ def pagerank(graph: SparseGraph, alpha: float = 0.85,
 
     def apply_map(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        spread = np.zeros(n)
-        if sources.size:
-            np.add.at(spread, targets, x[sources] * inverse_degree[sources])
+        spread = np.bincount(
+            targets, weights=x[sources] * inverse_degree[sources], minlength=n)
         dangling_mass = float(x[dangling].sum())
         nxt = alpha * (spread + dangling_mass * v) + (1.0 - alpha) * v
         return nxt / nxt.sum()
@@ -445,7 +442,7 @@ def clustered_graph(n: int, avg_deg: int, seed: int) -> SparseGraph:
                                       rng.integers(*bounds[1 - c], size=1)])
         else:
             targets = rng.integers(lo, hi, size=avg_deg)
-        out.append(tuple(int(t) for t in targets))
+        out.append(tuple(targets.tolist()))
     return SparseGraph(node_count=n, out_edges=tuple(out),
                        original_ids=tuple(range(n)))
 

@@ -52,9 +52,9 @@ __all__ = [
     "theta",
 ]
 
-#: Consecutive node ratios inside this band around 1 trigger the
+#: Falling nodes with a consecutive ratio in [_RATIO_FLOOR, 1) trigger the
 #: convergence-condition warning for node-based extrapolation.
-_RATIO_BAND = (0.9, 1.0 / 0.9)
+_RATIO_FLOOR = 0.9
 
 _TABLEAU_POLICY = BreakdownPolicy(action="skip-entry")
 
@@ -92,7 +92,7 @@ class KernelModel:
 
 @dataclass(frozen=True)
 class NodeSequence:
-    """Positive, pairwise-distinct extrapolation nodes x_n.
+    """Positive, finite, pairwise-distinct extrapolation nodes x_n.
 
     Indexed absolutely: ``value(n)`` is the node attached to sequence
     index ``n``.  Monotonicity is not required here — transforms that
@@ -106,8 +106,8 @@ class NodeSequence:
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", vals)
-        if any(v <= 0 for v in vals):
-            raise ValueError("nodes must be positive")
+        if not all(0.0 < v < np.inf for v in vals):
+            raise ValueError("nodes must be positive and finite")
         if len(set(vals)) != len(vals):
             raise ValueError("nodes must be pairwise distinct")
 
@@ -132,8 +132,9 @@ class NodeSequence:
         return all(a < b for a, b in zip(self.values, self.values[1:]))
 
     def ratios_near_one(self) -> bool:
-        lo, hi = _RATIO_BAND
-        return any(lo <= b / a <= hi for a, b in zip(self.values, self.values[1:]))
+        """True when the nodes fall and some x_{n+1}/x_n lies in [0.9, 1)."""
+        ratios = [b / a for a, b in zip(self.values, self.values[1:])]
+        return all(r < 1.0 for r in ratios) and any(r >= _RATIO_FLOOR for r in ratios)
 
 
 class BasisFamily:
@@ -363,9 +364,9 @@ def richardson_table(window: SequenceWindow, nodes: NodeSequence,
     t_0^(n) = s_n and
     t_k^(n) = t_{k-1}^(n) - x_n (t_{k-1}^(n+1) - t_{k-1}^(n)) / (x_{n+k} - x_n);
     with x_n = 2**(-p n) this is the classic step-halving scheme.  Every
-    column is an estimate.  Node ratios too close to 1 are accepted but
-    trigger a RuntimeWarning, since the underlying convergence guarantee
-    assumes ratios bounded away from 1.
+    column is an estimate.  Falling nodes with a ratio x_{n+1}/x_n in
+    [0.9, 1) are accepted but trigger a RuntimeWarning, since the
+    convergence guarantee for x_n -> 0 assumes ratios bounded below 1.
     """
     _require_scalar(window, "node-based extrapolation")
     base = window.base_index

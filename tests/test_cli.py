@@ -214,6 +214,17 @@ class TestBenchCommand:
         assert rows["picard"][4] == rows["aitken"][4] == "converged"
         assert int(rows["aitken"][1]) < int(rows["picard"][1])
 
+    def test_test_basis_methods_share_mmpe_settings(self, capsys):
+        # sbeta and h get mmpe's warmup and seeded test vectors; with
+        # canonical columns and no warmup they stall on an affine map
+        code, out, _ = run_cli(capsys, ["bench", "--problem", "linear",
+                                        "--methods", "mmpe,sbeta,h"])
+        assert code == 0
+        rows = {r.split(",")[0]: r.split(",") for r in
+                out.strip().splitlines()[1:]}
+        assert all(row[4] == "converged" for row in rows.values())
+        assert rows["sbeta"][1] == rows["h"][1] == rows["mmpe"][1]
+
     def test_unknown_method_exits_one(self, capsys):
         code, _, err = run_cli(capsys, ["bench", "--problem", "linear",
                                         "--methods", "picard,warp"])

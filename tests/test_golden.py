@@ -16,7 +16,6 @@ Regenerate (only on purpose, when a recursion's arithmetic changes) with
 import json
 import pathlib
 import sys
-import warnings
 
 import numpy as np
 
@@ -103,13 +102,6 @@ def _error_fields(run) -> dict | None:
 
 def record() -> dict:
     """Every recorded output, keyed ``function/window[/basis or nodes]``."""
-    with warnings.catch_warnings():
-        # standard nodes have ratios near 1 on the longer windows
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return _record()
-
-
-def _record() -> dict:
     out = {}
     for name, window in windows().items():
         calls = {"vea": lambda p, full, w=window: vea(w, p, keep_full=full)}

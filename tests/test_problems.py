@@ -85,6 +85,10 @@ class TestLinearIterationGenerator:
         observed = (errors[60] / errors[50]) ** 0.1
         assert radius - 0.1 <= observed <= radius + 0.1
 
+    def test_edge_targets_are_python_ints(self):
+        graph = clustered_graph(50, 4, seed=5)
+        assert all(type(t) is int for out in graph.out_edges for t in out)
+
     def test_same_seed_is_deterministic(self):
         first = linear_iteration_generator(8, 0.4, seed=99)
         second = linear_iteration_generator(8, 0.4, seed=99)
@@ -245,7 +249,48 @@ def iterate_to_fixed_point(problem, steps=400):
     return state
 
 
+def add_at_surfer_map(graph, alpha, v):
+    """The surfer map scattered through a zero-filled buffer and np.add.at."""
+    n = graph.node_count
+    sources = np.array([s for s, out in enumerate(graph.out_edges)
+                        for _ in out], dtype=int)
+    targets = np.array([t for out in graph.out_edges for t in out], dtype=int)
+    degrees = graph.out_degrees
+    inverse_degree = np.zeros(n)
+    inverse_degree[degrees > 0] = 1.0 / degrees[degrees > 0]
+    dangling = degrees == 0
+
+    def apply_map(x):
+        spread = np.zeros(n)
+        np.add.at(spread, targets, x[sources] * inverse_degree[sources])
+        dangling_mass = float(x[dangling].sum())
+        nxt = alpha * (spread + dangling_mass * v) + (1.0 - alpha) * v
+        return nxt / nxt.sum()
+
+    return apply_map
+
+
 class TestPagerank:
+    @pytest.mark.parametrize("graph", [
+        clustered_graph(2000, 8, 7),
+        # nodes 3 and 5 dangle; 0 -> 1 and 4 -> 1 are parallel edges
+        SparseGraph.from_edges(6, [(0, 1), (0, 1), (0, 2), (1, 0), (2, 2),
+                                   (2, 0), (4, 1), (4, 1)]),
+        SparseGraph.from_edges(3, []),
+    ], ids=["clustered", "dangling-parallel", "no-edges"])
+    def test_map_matches_add_at_scatter_bit_for_bit(self, graph):
+        rng = np.random.default_rng(5)
+        v = rng.uniform(0.5, 1.5, graph.node_count)
+        problem = pagerank(graph, alpha=0.85, personalization=v)
+        reference = add_at_surfer_map(graph, 0.85, problem.initial_guess)
+        x = rng.uniform(0.0, 1.0, graph.node_count)
+        assert np.array_equal(problem.mapping(x), reference(x))
+        state = problem.initial_guess
+        for _ in range(30):
+            nxt = problem.mapping(state)
+            assert np.array_equal(nxt, reference(state))
+            state = nxt
+
     def test_single_node(self):
         graph = SparseGraph.from_edges(1, [])
         problem = pagerank(graph)
@@ -294,6 +339,13 @@ class TestPagerank:
         with pytest.raises(ValueError):
             pagerank(graph, personalization=[0.0, 0.0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_personalization_must_be_finite(self, bad):
+        graph = SparseGraph.from_edges(2, [(0, 1)])
+        with pytest.raises(ValueError, match="personalization must be finite"):
+            pagerank(graph, personalization=[1.0, bad])
+
 
 class TestClusteredGraph:
     def test_degrees_are_exact(self):
@@ -308,6 +360,10 @@ class TestClusteredGraph:
         for node, targets in enumerate(graph.out_edges):
             crossings = sum((t >= split) != (node >= split) for t in targets)
             assert crossings == (1 if node % 4 == 0 else 0)
+
+    def test_edge_targets_are_python_ints(self):
+        graph = clustered_graph(50, 4, seed=5)
+        assert all(type(t) is int for out in graph.out_edges for t in out)
 
     def test_same_seed_is_deterministic(self):
         assert clustered_graph(60, 5, seed=9) == clustered_graph(60, 5, seed=9)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accelerant.core import BreakdownError, BreakdownPolicy, SequenceWindow
+from accelerant.problems import series_generator
 from accelerant.scalar import (
     BasisFamily,
     KernelModel,
@@ -167,6 +168,14 @@ def test_richardson_warns_on_nodes_near_one():
     w = SequenceWindow([1.0, 2.0, 3.0])
     with pytest.warns(RuntimeWarning):
         richardson_table(w, nodes, keep_full=True)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("count", range(4, 14))
+def test_richardson_standard_nodes_do_not_warn(count):
+    # x_n = n + 1 grows, so the ratio band of the x_n -> 0 theory is moot
+    richardson_table(series_generator("log2", count),
+                     NodeSequence.standard(count))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -562,6 +571,9 @@ def test_node_sequence_validation():
         NodeSequence((0.0, 1.0))
     with pytest.raises(ValueError):
         NodeSequence((1.0, 1.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            NodeSequence((1.0, bad, 3.0))
     assert NodeSequence.standard(3).values == (1.0, 2.0, 3.0)
 
 
