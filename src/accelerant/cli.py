@@ -31,7 +31,6 @@ import numpy as np
 from .core import (
     _TINY,
     BreakdownError,
-    DEFAULT_POLICY,
     SequenceWindow,
     breakdown_check,
     read_sequence_file,
@@ -341,9 +340,7 @@ def _run_picard(problem: FixedPointProblem, tol: float, max_evals: int,
 def _componentwise_aitken(s0, s1, s2):
     den = s2 - 2.0 * s1 + s0
     num = (s2 - s1) ** 2
-    guard = DEFAULT_POLICY.relative_threshold * np.maximum(
-        np.abs(s2) + 2.0 * np.abs(s1) + np.abs(s0), _TINY)
-    safe = np.abs(den) > guard
+    safe = breakdown_check(den, np.abs(s2) + 2.0 * np.abs(s1) + np.abs(s0))
     out = s2.copy()
     out[safe] = s2[safe] - num[safe] / den[safe]
     return np.where(np.isfinite(out), out, s2)
@@ -485,6 +482,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0.0:  # NaN fails too, as in CycleConfig
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=42,
                         help="seed behind every random choice (default 42)")
@@ -493,7 +497,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-8,
+    parser.add_argument("--tol", type=_positive_float, default=1e-8,
                         help="relative stopping tolerance (default 1e-8)")
     parser.add_argument("--max-cycles", type=_positive_int, default=1000,
                         help="iteration budget: restart cycles for vector "

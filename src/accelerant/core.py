@@ -88,6 +88,9 @@ class BreakdownPolicy:
 
 DEFAULT_POLICY = BreakdownPolicy()
 
+#: The tableau builders' default: flag a broken entry and its dependents.
+_TABLEAU_POLICY = BreakdownPolicy(action="skip-entry")
+
 
 def breakdown_check(denominator: float, local_scale: float,
                     policy: BreakdownPolicy = DEFAULT_POLICY) -> bool:
@@ -106,6 +109,19 @@ def breakdown_check(denominator: float, local_scale: float,
     if local_scale < 0:
         raise ValueError("local scale must be nonnegative")
     return abs(denominator) > policy.relative_threshold * max(local_scale, _TINY)
+
+
+def _require_safe(denominator: float, scale: float, message: str,
+                  order_k: int, index_n: int | None = None) -> None:
+    """Raise :class:`BreakdownError` unless :func:`breakdown_check` passes.
+
+    The one-shot transforms' check.  ``message`` may name ``{order_k}``; it
+    is formatted only on failure.
+    """
+    if not breakdown_check(denominator, scale):
+        raise BreakdownError(message.format(order_k=order_k), order_k=order_k,
+                             index_n=index_n, denominator=abs(denominator),
+                             scale=scale)
 
 
 @dataclass(frozen=True)
@@ -455,9 +471,9 @@ def _lozenge_rule(size, step) -> tuple:
 def read_sequence_file(path) -> SequenceWindow:
     """Read a sequence window from a text file.
 
-    One term per line: a single number for scalar sequences, or
-    comma-separated components for vector sequences.  Lines starting with
-    '#' and blank lines are ignored; UTF-8 with LF or CRLF endings.
+    One term per line: a single finite number for scalar sequences, or
+    comma-separated finite components for vector sequences.  Lines starting
+    with '#' and blank lines are ignored; UTF-8 with LF or CRLF endings.
     """
     terms: list[Term] = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -466,12 +482,13 @@ def read_sequence_file(path) -> SequenceWindow:
             if not line or line.startswith("#"):
                 continue
             try:
-                if "," in line:
-                    terms.append([float(p) for p in line.split(",")])
-                else:
-                    terms.append(float(line))
+                term = [float(p) for p in line.split(",")] if "," in line \
+                    else float(line)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: cannot parse {line!r}") from exc
+            if not np.all(np.isfinite(term)):
+                raise ValueError(f"{path}:{lineno}: {line!r} is not finite")
+            terms.append(term)
     try:
         return SequenceWindow(terms)
     except ValueError as exc:

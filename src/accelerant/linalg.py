@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_POLICY, BreakdownPolicy, breakdown_check
+from .core import breakdown_check
 
 __all__ = [
     "GmresTrace",
@@ -109,7 +109,7 @@ def _as_vector(b, length: int | None = None) -> np.ndarray:
     return v
 
 
-def qr_mgs(a, policy: BreakdownPolicy = DEFAULT_POLICY) -> QrFactors:
+def qr_mgs(a) -> QrFactors:
     """Thin QR by modified Gram-Schmidt with one reorthogonalization pass.
 
     Requires rows >= cols.  Raises :class:`RankDeficiencyError` when a
@@ -133,7 +133,7 @@ def qr_mgs(a, policy: BreakdownPolicy = DEFAULT_POLICY) -> QrFactors:
             r[i, j] += c
             v -= c * q[:, i]
         norm = np.linalg.norm(v)
-        if not breakdown_check(norm, col_norms[j], policy):
+        if not breakdown_check(norm, col_norms[j]):
             raise RankDeficiencyError(
                 f"column {j} is numerically dependent on earlier columns",
                 column=j)
@@ -158,7 +158,7 @@ def _solve_lower_unit(l: np.ndarray, c: np.ndarray) -> np.ndarray:
     return x
 
 
-def lu_solve(a, b, policy: BreakdownPolicy = DEFAULT_POLICY) -> np.ndarray:
+def lu_solve(a, b) -> np.ndarray:
     """Solve A X = B by LU with partial pivoting; element growth is monitored.
 
     B may be a vector or a matrix of right-hand sides; the result matches
@@ -179,7 +179,7 @@ def lu_solve(a, b, policy: BreakdownPolicy = DEFAULT_POLICY) -> np.ndarray:
     scale = np.max(np.abs(a))
     for j in range(n):
         p = j + int(np.argmax(np.abs(lu[j:, j])))
-        if not breakdown_check(abs(lu[p, j]), scale, policy):
+        if not breakdown_check(abs(lu[p, j]), scale):
             raise RankDeficiencyError(f"singular pivot at column {j}", column=j)
         if p != j:
             lu[[j, p], :] = lu[[p, j], :]
@@ -217,7 +217,7 @@ def _determinant(a) -> float:
     return sign * float(np.prod(np.diag(m)))
 
 
-def least_squares(a, b, policy: BreakdownPolicy = DEFAULT_POLICY) -> LeastSquaresFit:
+def least_squares(a, b) -> LeastSquaresFit:
     """Minimize ||b - A theta||_2 via MGS QR.
 
     On rank deficiency the solver falls back to greedy column-pivoted
@@ -230,19 +230,18 @@ def least_squares(a, b, policy: BreakdownPolicy = DEFAULT_POLICY) -> LeastSquare
     if m < n:
         raise ValueError("least_squares requires rows >= cols")
     try:
-        f = qr_mgs(a, policy)
+        f = qr_mgs(a)
         theta = _solve_upper(f.r, f.q.T @ b)
         deficient = False
     except RankDeficiencyError:
-        theta = _min_norm_solution(a, b, policy)
+        theta = _min_norm_solution(a, b)
         deficient = True
     residual = float(np.linalg.norm(b - a @ theta))
     return LeastSquaresFit(coefficients=theta, residual_norm=residual,
                            rank_deficient=deficient)
 
 
-def _min_norm_solution(a: np.ndarray, b: np.ndarray,
-                       policy: BreakdownPolicy) -> np.ndarray:
+def _min_norm_solution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution via column-pivoted MGS."""
     m, n = a.shape
     work = a.copy()
@@ -254,7 +253,7 @@ def _min_norm_solution(a: np.ndarray, b: np.ndarray,
     for j in range(n):
         norms = np.linalg.norm(work[:, j:], axis=0)
         p = j + int(np.argmax(norms))
-        if not breakdown_check(norms[p - j], overall, policy):
+        if not breakdown_check(norms[p - j], overall):
             break
         work[:, [j, p]] = work[:, [p, j]]
         r[:, [j, p]] = r[:, [p, j]]
@@ -280,7 +279,7 @@ def _min_norm_solution(a: np.ndarray, b: np.ndarray,
     # with w in the row space of R1: factor R1^T = Q2 R2 and back-substitute.
     r1 = r[:rank, :]
     c = q[:, :rank].T @ b
-    f2 = qr_mgs(r1.T, policy)
+    f2 = qr_mgs(r1.T)
     w = f2.q @ _solve_lower_unit_from_upper_t(f2.r, c)
     theta = np.zeros(n)
     theta[piv] = w

@@ -1,7 +1,8 @@
 """Scalar sequence transformations.
 
 One-shot transforms (:func:`aitken_step`, :func:`shanks_oracle`,
-:func:`pade_approximant`) raise on breakdown; tableau builders
+:func:`pade_approximant`) raise on breakdown at the shared default
+threshold; tableau builders
 (:func:`richardson_table`, :func:`epsilon_scalar`, :func:`rho`,
 :func:`theta`, :func:`e_algorithm`) flag broken entries and suppress
 everything that depends on them, unless the supplied policy's action is
@@ -22,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
+    _TABLEAU_POLICY,
     BreakdownError,
     BreakdownPolicy,
     Estimate,
@@ -29,7 +31,7 @@ from .core import (
     Tableau,
     _column_sweep,
     _lozenge_rule,
-    breakdown_check,
+    _require_safe,
     forward_difference,
 )
 from .linalg import RankDeficiencyError, _determinant, lu_solve
@@ -56,7 +58,7 @@ __all__ = [
 #: convergence-condition warning for node-based extrapolation.
 _RATIO_FLOOR = 0.9
 
-_TABLEAU_POLICY = BreakdownPolicy(action="skip-entry")
+_NEGLIGIBLE_DETERMINANT = "denominator determinant is negligible at order {order_k}"
 
 
 class NonexistenceError(ArithmeticError):
@@ -193,8 +195,7 @@ class RationalFunction:
 # one-shot transforms
 # ---------------------------------------------------------------------------
 
-def aitken_step(s0: float, s1: float, s2: float,
-                policy: BreakdownPolicy = _TABLEAU_POLICY) -> Estimate:
+def aitken_step(s0: float, s1: float, s2: float) -> Estimate:
     """One step of the delta-squared transformation on three consecutive terms.
 
     Returns t = s0 - (s1 - s0)^2 / (s2 - 2 s1 + s0); raises
@@ -204,18 +205,14 @@ def aitken_step(s0: float, s1: float, s2: float,
     d0 = s1 - s0
     d1 = s2 - s1
     dd = d1 - d0
-    scale = max(abs(d0), abs(d1))
-    if not breakdown_check(dd, scale, policy):
-        raise BreakdownError(
-            "second difference vanishes; delta-squared step undefined",
-            order_k=1, denominator=abs(dd), scale=scale)
+    _require_safe(dd, max(abs(d0), abs(d1)),
+                  "second difference vanishes; delta-squared step undefined", 1)
     value = s0 - d0 * d0 / dd
     return Estimate(value, order_k=1,
                     diagnostics={"min_denominator": abs(dd)})
 
 
-def iterated_aitken(window: SequenceWindow, max_k: int,
-                    policy: BreakdownPolicy = _TABLEAU_POLICY) -> list[list[Estimate]]:
+def iterated_aitken(window: SequenceWindow, max_k: int) -> list[list[Estimate]]:
     """Repeatedly apply the delta-squared step, each level feeding the next.
 
     Level 0 is the input; level k has 2k fewer entries.  A breakdown while
@@ -235,7 +232,7 @@ def iterated_aitken(window: SequenceWindow, max_k: int,
         try:
             for i in range(len(prev) - 2):
                 e = aitken_step(prev[i].value, prev[i + 1].value,
-                                prev[i + 2].value, policy)
+                                prev[i + 2].value)
                 level.append(Estimate(e.value, order_k=k,
                                       pilot_index_n=prev[i].pilot_index_n,
                                       diagnostics=e.diagnostics))
@@ -245,8 +242,7 @@ def iterated_aitken(window: SequenceWindow, max_k: int,
     return levels
 
 
-def shanks_oracle(window: SequenceWindow, k: int, n: int | None = None,
-                  policy: BreakdownPolicy = _TABLEAU_POLICY) -> Estimate:
+def shanks_oracle(window: SequenceWindow, k: int, n: int | None = None) -> Estimate:
     """Order-k transform as an explicit ratio of two determinants.
 
     Both are (k+1) x (k+1): first row the sequence terms (numerator) or
@@ -273,11 +269,8 @@ def shanks_oracle(window: SequenceWindow, k: int, n: int | None = None,
         rows_den.append(diff_row)
     num = _determinant(np.array(rows_num))
     den = _determinant(np.array(rows_den))
-    scale = _hadamard_bound(np.array(rows_den))
-    if not breakdown_check(den, scale, policy):
-        raise BreakdownError(
-            f"denominator determinant is negligible at order {k}",
-            order_k=k, index_n=n, denominator=abs(den), scale=scale)
+    _require_safe(den, _hadamard_bound(np.array(rows_den)),
+                  _NEGLIGIBLE_DETERMINANT, k, n)
     return Estimate(num / den, order_k=k, pilot_index_n=n,
                     diagnostics={"min_denominator": abs(den)})
 
@@ -523,8 +516,7 @@ def _e_recursion(entries: list, base: int, basis: BasisFamily, k_max: int,
 
 
 def e_algorithm_determinant(window: SequenceWindow, basis: BasisFamily,
-                            k: int, n: int | None = None,
-                            policy: BreakdownPolicy = _TABLEAU_POLICY) -> float:
+                            k: int, n: int | None = None) -> float:
     """Determinant-form oracle for the general recursion.
 
     E_k^(n) as the ratio of two (k+1) x (k+1) determinants: top row the
@@ -546,9 +538,6 @@ def e_algorithm_determinant(window: SequenceWindow, basis: BasisFamily,
               for i in range(1, k + 1)]
     num = _determinant(np.array([top_num] + g_rows))
     den = _determinant(np.array([[1.0] * (k + 1)] + g_rows))
-    scale = _hadamard_bound(np.array([[1.0] * (k + 1)] + g_rows))
-    if not breakdown_check(den, scale, policy):
-        raise BreakdownError(
-            f"denominator determinant is negligible at order {k}",
-            order_k=k, index_n=n, denominator=abs(den), scale=scale)
+    _require_safe(den, _hadamard_bound(np.array([[1.0] * (k + 1)] + g_rows)),
+                  _NEGLIGIBLE_DETERMINANT, k, n)
     return num / den

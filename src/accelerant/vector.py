@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    DEFAULT_POLICY,
+    _TABLEAU_POLICY,
     BreakdownError,
     BreakdownPolicy,
     Estimate,
@@ -29,6 +29,7 @@ from .core import (
     _column_sweep,
     _frozen_array,
     _lozenge_rule,
+    _require_safe,
     breakdown_check,
     forward_difference,
 )
@@ -50,8 +51,6 @@ __all__ = [
     "vpe_extrapolate",
     "vpe_oracle",
 ]
-
-_TABLEAU_POLICY = BreakdownPolicy(action="skip-entry")
 
 _VPE_KINDS = ("mpe", "rre", "mmpe")
 
@@ -214,8 +213,7 @@ def _angle_diagnostics(ds0: np.ndarray, residual: np.ndarray, key: str) -> dict:
 
 
 def vpe_extrapolate(window: SequenceWindow, method: VpeMethod, k: int,
-                    index: int | None = None,
-                    policy: BreakdownPolicy = DEFAULT_POLICY) -> VpeResult:
+                    index: int | None = None) -> VpeResult:
     """Polynomial extrapolation through a projected difference system.
 
     Computes ``t_k = s_n + dS a`` where the coefficients make the
@@ -244,15 +242,15 @@ def vpe_extrapolate(window: SequenceWindow, method: VpeMethod, k: int,
     angle_key = {"rre": "cos_theta", "mpe": "cos_phi", "mmpe": "cos_psi"}[method.kind]
 
     if method.kind == "rre":
-        fit = least_squares(d2_rows.T, -ds0, policy)
+        fit = least_squares(d2_rows.T, -ds0)
         a = fit.coefficients
         gamma = _gamma_from_coefficients(a)
         extras = {"rank_deficient": 1.0} if fit.rank_deficient else {}
     elif method.kind == "mpe":
-        fit = least_squares(d1_rows[:k].T, -d1_rows[k], policy)
+        fit = least_squares(d1_rows[:k].T, -d1_rows[k])
         c = np.append(fit.coefficients, 1.0)
         total = float(c.sum())
-        if not breakdown_check(total, max(1.0, float(np.max(np.abs(c)))), policy):
+        if not breakdown_check(total, max(1.0, float(np.max(np.abs(c))))):
             raise NonexistenceError(
                 f"annihilation weights sum to {total:.3e}; the order-{k} "
                 "transform does not exist here")
@@ -264,7 +262,7 @@ def vpe_extrapolate(window: SequenceWindow, method: VpeMethod, k: int,
     else:
         basis = _mmpe_basis(method.test_vectors, len(s0), k)
         try:
-            a = lu_solve(basis.T @ d2, -(basis.T @ ds0), policy)
+            a = lu_solve(basis.T @ d2, -(basis.T @ ds0))
         except RankDeficiencyError as exc:
             raise NonexistenceError(
                 f"projected matrix is singular at order {k}: {exc}") from exc
@@ -280,8 +278,7 @@ def vpe_extrapolate(window: SequenceWindow, method: VpeMethod, k: int,
 
 
 def vpe_oracle(window: SequenceWindow, method: VpeMethod, k: int,
-               index: int | None = None,
-               policy: BreakdownPolicy = DEFAULT_POLICY) -> np.ndarray:
+               index: int | None = None) -> np.ndarray:
     """Slow determinant-ratio route to the same extrapolated vector.
 
     Builds the (k+1) x (k+1) ratio whose first row holds the sequence terms
@@ -310,7 +307,7 @@ def vpe_oracle(window: SequenceWindow, method: VpeMethod, k: int,
     denominator = _determinant(denom_matrix)
     scale = float(np.sqrt(k + 1.0)) * float(
         np.prod([max(np.linalg.norm(r), 1e-300) for r in alpha]))
-    if not breakdown_check(denominator, scale, policy):
+    if not breakdown_check(denominator, scale):
         raise NonexistenceError(
             f"denominator determinant {denominator:.3e} vanishes against "
             f"scale {scale:.3e} at order {k}")
@@ -323,8 +320,8 @@ def vpe_oracle(window: SequenceWindow, method: VpeMethod, k: int,
     return value
 
 
-def sbeta(window: SequenceWindow, test_vectors: Sequence, index: int | None = None,
-          policy: BreakdownPolicy = DEFAULT_POLICY) -> Estimate:
+def sbeta(window: SequenceWindow, test_vectors: Sequence,
+          index: int | None = None) -> Estimate:
     """Coupled two-sequence recursion for the projected transform.
 
     Runs the paired update
@@ -354,18 +351,13 @@ def sbeta(window: SequenceWindow, test_vectors: Sequence, index: int | None = No
             lead = float(y @ b_level[j])
             denom = float(y @ b_level[j + 1])
             scale = float(np.linalg.norm(y) * np.linalg.norm(b_level[j + 1]))
-            if not breakdown_check(denom, scale, policy):
-                raise BreakdownError(
-                    f"test-vector pairing vanishes at level {level}",
-                    order_k=level, index_n=n0 + j, denominator=abs(denom),
-                    scale=scale)
+            _require_safe(denom, scale,
+                          "test-vector pairing vanishes at level {order_k}",
+                          level, n0 + j)
             a = lead / denom
             one_minus = 1.0 - a
-            if not breakdown_check(one_minus, max(1.0, abs(a)), policy):
-                raise BreakdownError(
-                    f"unit pairing ratio at level {level}", order_k=level,
-                    index_n=n0 + j, denominator=abs(one_minus),
-                    scale=max(1.0, abs(a)))
+            _require_safe(one_minus, max(1.0, abs(a)),
+                          "unit pairing ratio at level {order_k}", level, n0 + j)
             new_s.append((s_level[j] - a * s_level[j + 1]) / one_minus)
             new_b.append((b_level[j] - a * b_level[j + 1]) / one_minus)
             if j == 0:
@@ -432,8 +424,8 @@ def _dual_vector(weight) -> np.ndarray:
     return TeaWeight(np.asarray(weight, dtype=np.float64)).y
 
 
-def tea(window: SequenceWindow, weight, k: int, index: int | None = None,
-        policy: BreakdownPolicy = DEFAULT_POLICY) -> Estimate:
+def tea(window: SequenceWindow, weight, k: int,
+        index: int | None = None) -> Estimate:
     """Topological transform through its k x k pairing system.
 
     Solves ``T c = dS^T y`` where ``T[j, i] = (y, d2s_{n+i+j})`` (zero-based
@@ -457,7 +449,7 @@ def tea(window: SequenceWindow, weight, k: int, index: int | None = None,
     t_matrix = np.array([[pair2[i + j] for i in range(k)] for j in range(k)])
     rhs = d1[:, :k].T @ y
     try:
-        c = lu_solve(t_matrix, rhs, policy)
+        c = lu_solve(t_matrix, rhs)
     except RankDeficiencyError as exc:
         raise NonexistenceError(
             f"pairing matrix is singular at order {k}: {exc}") from exc
@@ -474,8 +466,7 @@ def tea(window: SequenceWindow, weight, k: int, index: int | None = None,
 
 
 def stea(window: SequenceWindow, weight, k: int, variant: int,
-         index: int | None = None,
-         policy: BreakdownPolicy = DEFAULT_POLICY) -> Estimate:
+         index: int | None = None) -> Estimate:
     """Topological transform driven by a scalar companion table.
 
     Runs the inverse-difference recursion on the pairings ``z_n = (y, s_n)``
@@ -527,13 +518,9 @@ def stea(window: SequenceWindow, weight, k: int, variant: int,
                 anchor, lo, hi = even_entry(level, n + 1), n, n + 1
             else:
                 anchor, lo, hi = even_entry(level, n + 1), n + 1, n + 2
+            # no check needed: building e_{2 level + 1}, which ``target``
+            # reads, ran the same breakdown check on this same spread
             spread = even_entry(level, hi) - even_entry(level, lo)
-            scale = max(abs(even_entry(level, hi)), abs(even_entry(level, lo)))
-            if not breakdown_check(spread, scale, policy):
-                raise BreakdownError(
-                    f"scalar companion difference vanishes at level {level + 1}",
-                    order_k=level + 1, index_n=n, denominator=abs(spread),
-                    scale=scale)
             ratio = (target - anchor) / spread
             nxt[n] = current[n + 1] + ratio * (current[hi] - current[lo])
         current = nxt
@@ -584,8 +571,7 @@ class AndersonState:
         return min(self.depth, self.step_index)
 
 
-def anderson_step(state: AndersonState, g_value,
-                  policy: BreakdownPolicy = DEFAULT_POLICY):
+def anderson_step(state: AndersonState, g_value):
     """One residual-mixing update from the mapped current iterate.
 
     Given ``g_value = G(x_k)``, forms ``F_k = g_value - x_k``, fits the
@@ -613,7 +599,7 @@ def anderson_step(state: AndersonState, g_value,
     theta = np.zeros(0)
     while m_k > 0:
         d_f = np.column_stack([fs[j + 1] - fs[j] for j in range(m_k)])
-        fit = least_squares(d_f, f_k, policy)
+        fit = least_squares(d_f, f_k)
         if not fit.rank_deficient:
             theta = fit.coefficients
             break

@@ -101,6 +101,19 @@ class TestScalarCommand:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_file_term_exits_one(self, capsys, tmp_path, bad):
+        path = tmp_path / "seq.txt"
+        terms = np.cumsum([(-1.0) ** m / (m + 1.0) for m in range(11)])
+        lines = [format(t, ".17g") for t in terms]
+        lines[2] = bad
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, ["scalar", "--input", str(path),
+                                          "--method", "epsilon"])
+        assert code == 1
+        assert out == ""
+        assert f"seq.txt:3: '{bad}' is not finite" in err
+
     def test_breakdown_before_any_estimate_exits_two(self, capsys, tmp_path):
         path = tmp_path / "flat.txt"
         path.write_text("1.0\n1.0\n1.0\n1.0\n")
@@ -282,6 +295,16 @@ class TestBenchCommand:
             assert code == 1
             assert out == ""
             assert "--max-cycles: must be at least 1" in err
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_nonpositive_tol_exits_one(self, capsys, tol):
+        # componentwise rows never reach CycleConfig's own check
+        code, out, err = run_cli(capsys, [
+            "bench", "--problem", "linear", "--methods", "picard,aitken",
+            "--tol", tol])
+        assert code == 1
+        assert out == ""
+        assert "--tol: must be positive" in err
 
     def test_problem_is_built_once_per_call(self, capsys, monkeypatch):
         build = cli._build_problem

@@ -335,10 +335,13 @@ def test_read_vector_sequence_with_crlf(tmp_path):
 
 
 def test_read_rejects_bad_line(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("1.0\ntwo\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="bad.txt:2"):
-        read_sequence_file(p)
+    # unparsable, then non-finite scalars and vector components
+    for bad in ("two", "nan", "inf", "-inf", "1.0,nan", "inf,2.0"):
+        p = tmp_path / "bad.txt"
+        first = "1.0,2.0" if "," in bad else "1.0"
+        p.write_text(f"{first}\n{bad}\n{first}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="bad.txt:2"):
+            read_sequence_file(p)
 
 
 def test_read_rejects_ragged_vectors(tmp_path):

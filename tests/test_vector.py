@@ -5,7 +5,14 @@ import pytest
 
 from accelerant.core import BreakdownError, SequenceWindow
 from accelerant.linalg import gmres_oracle
-from accelerant.scalar import BasisFamily, NonexistenceError, epsilon_scalar
+from accelerant.scalar import (
+    BasisFamily,
+    NonexistenceError,
+    aitken_step,
+    e_algorithm_determinant,
+    epsilon_scalar,
+    shanks_oracle,
+)
 from accelerant.vector import (
     AndersonState,
     TeaWeight,
@@ -735,3 +742,56 @@ class TestResidualAngles:
         assert np.linalg.norm(result.value - solution) < 1e-10
         assert np.linalg.norm(offset - a_matrix @ result.value) < \
             1e-10 * np.linalg.norm(offset)
+
+
+# One input per path of the one-shot transforms that raise on breakdown:
+# call, message, order_k, index_n, denominator, scale.
+ONE_SHOT_BREAKDOWNS = {
+    "aitken_step": (
+        lambda: aitken_step(1.0, 2.0, 3.0),
+        "second difference vanishes; delta-squared step undefined",
+        1, None, 0.0, 1.0),
+    "shanks_oracle": (
+        lambda: shanks_oracle(SequenceWindow([2.0] * 5, base_index=3), 2),
+        "denominator determinant is negligible at order 2", 2, 3, 0.0, 0.0),
+    "e_algorithm_determinant": (
+        # g_i(n) = i: the denominator's rows 1 and i are proportional
+        lambda: e_algorithm_determinant(
+            SequenceWindow([1.0, 2.0, 4.0, 7.0]),
+            BasisFamily(lambda i, n: float(i)), 2, 1),
+        "denominator determinant is negligible at order 2", 2, 1, 0.0,
+        pytest.approx(np.sqrt(108.0))),
+    "sbeta_zero_pairing": (
+        lambda: sbeta(SequenceWindow([[n, 1.0, 1.0] for n in range(4)],
+                                     base_index=2), [[0.0, 1.0, -1.0]]),
+        "test-vector pairing vanishes at level 1", 1, 2, 0.0,
+        pytest.approx(np.sqrt(2.0))),
+    "sbeta_unit_ratio": (
+        lambda: sbeta(SequenceWindow([[n, n, 0.0] for n in range(4)]),
+                      [[1.0, 0.0, 0.0]]),
+        "unit pairing ratio at level 1", 1, 0, 0.0, 1.0),
+    "stea_unavailable": (
+        # constant pairings: column 1 holds no valid entry, the table ends
+        lambda: stea(SequenceWindow([[1.0, n] for n in range(3)]),
+                     [1.0, 0.0], 1, 1),
+        "scalar companion entry (2, 0) unavailable", 2, 0, 0.0, 0.0),
+    "stea_invalid_after_breakdown": (
+        # z_0 = z_1 flags e_1^(4), and e_2^(4) reads it
+        lambda: stea(SequenceWindow([[z, 0.0] for z in (1.0, 1.0, 2.0, 4.0, 7.0)],
+                                    base_index=4), [1.0, 0.0], 2, 2),
+        "tableau entry (2, 4) is invalid after a breakdown", 2, 4, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_SHOT_BREAKDOWNS))
+def test_one_shot_breakdown_error_fields(case):
+    call, message, order_k, index_n, denominator, scale = \
+        ONE_SHOT_BREAKDOWNS[case]
+    with pytest.raises(BreakdownError) as raised:
+        call()
+    exc = raised.value
+    assert type(exc) is BreakdownError
+    assert str(exc) == message
+    assert (exc.order_k, exc.index_n) == (order_k, index_n)
+    assert exc.denominator == denominator
+    assert exc.scale == scale
