@@ -50,8 +50,8 @@ class BreakdownError(ArithmeticError):
 
     Attributes carry enough context to report *where* the tableau broke:
     ``order_k`` / ``index_n`` locate the entry whose computation failed
-    (``None`` for one-shot transforms), ``denominator`` and ``scale`` are
-    the magnitudes that failed :func:`breakdown_check`.
+    (``None`` where a transform has no such position), ``denominator`` and
+    ``scale`` are the magnitudes that failed :func:`breakdown_check`.
     """
 
     def __init__(self, message: str, *, order_k: int | None = None,
