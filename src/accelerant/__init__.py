@@ -9,7 +9,6 @@ post-processing, and generators for classic benchmark problems.
 
 from .core import (
     BreakdownError,
-    BreakdownPolicy,
     Estimate,
     SequenceWindow,
     Tableau,
@@ -23,7 +22,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BreakdownError",
-    "BreakdownPolicy",
     "Estimate",
     "SequenceWindow",
     "Tableau",

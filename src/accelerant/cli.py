@@ -502,7 +502,7 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-cycles", type=_positive_int, default=1000,
                         help="iteration budget: restart cycles for vector "
                              "methods, map evaluations otherwise (default 1000)")
-    parser.add_argument("--n", type=int, default=None,
+    parser.add_argument("--n", type=_positive_int, default=None,
                         help="problem size for linear/fredholm/pagerank "
                              "(defaults 100/500/5000)")
     parser.add_argument("--grid", type=int, default=40,

@@ -1,4 +1,4 @@
-"""Sequence buffering, forward differences, tableau storage, and breakdown policy.
+"""Sequence buffering, forward differences, tableau storage, and the breakdown check.
 
 Everything downstream (scalar transforms, vector extrapolation, drivers)
 is built on the three primitives in this module:
@@ -8,14 +8,14 @@ is built on the three primitives in this module:
 * :class:`Tableau` — two-column rolling storage for the triangular
   tables (Richardson, epsilon, rho, theta, E, H) with per-entry
   breakdown flags;
-* :func:`breakdown_check` / :class:`BreakdownPolicy` — the single shared
-  rule deciding when a denominator is too small to divide by.
+* :func:`breakdown_check` — the single shared rule deciding when a
+  denominator is too small to divide by.
 
 One column sweep (``_column_sweep``) fills every tableau: Richardson,
 epsilon, rho, theta and the E/H recursions each supply only their entry
 formula and the parents it reads, and the sweep alone decides how a
-breakdown spreads, when it raises and where a table ends.  The diagonal
-form of the lozenge update is the command line's streaming kernel.
+breakdown spreads and where a table ends.  The diagonal form of the
+lozenge update is the command line's streaming kernel.
 
 All arithmetic is plain 64-bit binary floating point.
 """
@@ -29,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "BreakdownError",
-    "BreakdownPolicy",
     "Estimate",
     "SequenceWindow",
     "Tableau",
@@ -64,39 +63,15 @@ class BreakdownError(ArithmeticError):
         self.scale = scale
 
 
-@dataclass(frozen=True)
-class BreakdownPolicy:
-    """Shared rule for near-zero denominators.
-
-    ``relative_threshold`` is dimensionless: a denominator fails when its
-    magnitude is at most ``relative_threshold * max(local_scale, tiny)``
-    where ``tiny`` is the smallest positive normal double.  ``action``
-    selects what tableau builders do on failure: ``"error"`` raises
-    :class:`BreakdownError` immediately, ``"skip-entry"`` flags the entry
-    and suppresses everything that depends on it.
-    """
-
-    relative_threshold: float = 1e-12
-    action: str = "error"
-
-    def __post_init__(self):
-        if not self.relative_threshold > 0:
-            raise ValueError("relative_threshold must be positive")
-        if self.action not in ("error", "skip-entry"):
-            raise ValueError("action must be 'error' or 'skip-entry'")
+#: A denominator fails :func:`breakdown_check` at or below this multiple
+#: of its local scale.
+_BREAKDOWN_THRESHOLD = 1e-12
 
 
-DEFAULT_POLICY = BreakdownPolicy()
-
-#: The tableau builders' default: flag a broken entry and its dependents.
-_TABLEAU_POLICY = BreakdownPolicy(action="skip-entry")
-
-
-def breakdown_check(denominator: float, local_scale: float,
-                    policy: BreakdownPolicy = DEFAULT_POLICY) -> bool:
+def breakdown_check(denominator: float, local_scale: float) -> bool:
     """Return True when a denominator of the given magnitude is safe to use.
 
-    Fails (returns False) iff ``|denominator| <= threshold * max(scale, tiny)``
+    Fails (returns False) iff ``|denominator| <= 1e-12 * max(scale, tiny)``
     with ``tiny`` the smallest positive normal magnitude, so an exactly zero
     denominator fails even at zero scale.  Array arguments are checked
     elementwise and give a boolean array (a NaN fails).
@@ -105,10 +80,10 @@ def breakdown_check(denominator: float, local_scale: float,
         if np.any(local_scale < 0):
             raise ValueError("local scale must be nonnegative")
         return np.abs(denominator) > \
-            policy.relative_threshold * np.maximum(local_scale, _TINY)
+            _BREAKDOWN_THRESHOLD * np.maximum(local_scale, _TINY)
     if local_scale < 0:
         raise ValueError("local scale must be nonnegative")
-    return abs(denominator) > policy.relative_threshold * max(local_scale, _TINY)
+    return abs(denominator) > _BREAKDOWN_THRESHOLD * max(local_scale, _TINY)
 
 
 def _require_safe(denominator: float, scale: float, message: str,
@@ -394,8 +369,8 @@ class Tableau:
 _LOZENGE = ((1, 0), (1, 1), (2, 1))
 
 
-def _column_sweep(entries: list, base: int, rules, policy: BreakdownPolicy,
-                  keep_full: bool, zero: Term | None = None,
+def _column_sweep(entries: list, base: int, rules, keep_full: bool,
+                  zero: Term | None = None,
                   last_column: int | None = None) -> Tableau:
     """Fill a :class:`Tableau` column by column from column 0 ``entries``.
 
@@ -409,11 +384,10 @@ def _column_sweep(entries: list, base: int, rules, policy: BreakdownPolicy,
     entry once :func:`breakdown_check` passes on denominator and scale.
 
     This is the one place that decides how a breakdown spreads: an entry
-    that reads a flagged one is flagged, and one whose check fails raises
-    :class:`BreakdownError` under ``action="error"`` and is flagged
-    otherwise.  Column k covers every n whose parents exist; the table ends
-    with its first column that holds no valid entry, or after
-    ``last_column``, and is then compacted.
+    that reads a flagged one, or whose check fails, is flagged, and reading
+    it raises :class:`BreakdownError`.  Column k covers every n whose
+    parents exist; the table ends with its first column that holds no valid
+    entry, or after ``last_column``, and is then compacted.
     """
     table = Tableau(keep_full, "all" if zero is None else "even")
     last = {0: base + len(entries) - 1}
@@ -437,13 +411,9 @@ def _column_sweep(entries: list, base: int, rules, policy: BreakdownPolicy,
                 table.flag_breakdown(k, n)
                 continue
             carry, denominator, scale = gap(k, n, *reads)
-            if breakdown_check(denominator, scale, policy):
+            if breakdown_check(denominator, scale):
                 table.set_entry(k, n, step(k, n, carry, denominator, *reads))
                 alive = True
-            elif policy.action == "error":
-                raise BreakdownError(
-                    f"breakdown at tableau entry ({k}, {n})", order_k=k,
-                    index_n=n, denominator=denominator, scale=scale)
             else:
                 table.flag_breakdown(k, n)
         if not alive:

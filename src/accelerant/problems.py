@@ -140,6 +140,8 @@ class FredholmDiscretization:
     source: np.ndarray
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.coupling):
+            raise ValueError("coupling must be finite")
         nodes = _frozen_array(self.nodes, "nodes", 1)
         n = nodes.size
         if n < 2:

@@ -5,10 +5,10 @@ One-shot transforms (:func:`aitken_step`, :func:`shanks_oracle`,
 threshold; tableau builders
 (:func:`richardson_table`, :func:`epsilon_scalar`, :func:`rho`,
 :func:`theta`, :func:`e_algorithm`) flag broken entries and suppress
-everything that depends on them, unless the supplied policy's action is
-``"error"``.  Each builder supplies only its entry formula and the
-parents it reads; one column sweep in :mod:`accelerant.core` fills the
-table and applies that breakdown rule for all of them.
+everything that depends on them; reading a flagged entry raises.  Each
+builder supplies only its entry formula and the parents it reads; one
+column sweep in :mod:`accelerant.core` fills the table and applies that
+breakdown rule for all of them.
 
 Estimates of the lozenge recursions live in the even tableau columns; odd
 columns are auxiliary quantities only.
@@ -23,9 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    _TABLEAU_POLICY,
     BreakdownError,
-    BreakdownPolicy,
     Estimate,
     SequenceWindow,
     Tableau,
@@ -350,7 +348,6 @@ def _theta_step(k, n, denom, size, o0, o1, o2, e1, e2):
 
 
 def richardson_table(window: SequenceWindow, nodes: NodeSequence,
-                     policy: BreakdownPolicy = _TABLEAU_POLICY,
                      keep_full: bool = False) -> Tableau:
     """Node-based polynomial extrapolation table.
 
@@ -378,12 +375,10 @@ def richardson_table(window: SequenceWindow, nodes: NodeSequence,
         return a - x[n] * (b - a) / denom
 
     return _column_sweep(list(window.terms), base, ((_ADJACENT, gap, step),),
-                         policy, keep_full)
+                         keep_full)
 
 
-def epsilon_scalar(window: SequenceWindow,
-                   policy: BreakdownPolicy = _TABLEAU_POLICY,
-                   keep_full: bool = False) -> Tableau:
+def epsilon_scalar(window: SequenceWindow, keep_full: bool = False) -> Tableau:
     """The scalar lozenge recursion over inverse differences.
 
     Columns satisfy e_{k+1}^(n) = e_{k-1}^(n+1) + 1/(e_k^(n+1) - e_k^(n))
@@ -396,11 +391,10 @@ def epsilon_scalar(window: SequenceWindow,
     if len(window) < 3:
         raise ValueError("need at least three terms")
     return _column_sweep(list(window.terms), window.base_index,
-                         (_INVERSE_RULE,), policy, keep_full, zero=0.0)
+                         (_INVERSE_RULE,), keep_full, zero=0.0)
 
 
 def rho(window: SequenceWindow, nodes: NodeSequence | None = None,
-        policy: BreakdownPolicy = _TABLEAU_POLICY,
         keep_full: bool = False) -> Tableau:
     """Node-weighted lozenge recursion for logarithmic-type sequences.
 
@@ -422,12 +416,10 @@ def rho(window: SequenceWindow, nodes: NodeSequence | None = None,
         return back + (x[n + k] - x[n]) / d
 
     return _column_sweep(list(window.terms), base, (_lozenge_rule(abs, step),),
-                         policy, keep_full, zero=0.0)
+                         keep_full, zero=0.0)
 
 
-def theta(window: SequenceWindow,
-          policy: BreakdownPolicy = _TABLEAU_POLICY,
-          keep_full: bool = False) -> Tableau:
+def theta(window: SequenceWindow, keep_full: bool = False) -> Tableau:
     """Damped lozenge recursion effective on logarithmic sequences.
 
     Odd step:  o_{2k+1}^(n) = o_{2k-1}^(n+1) + 1/(o_{2k}^(n+1) - o_{2k}^(n)).
@@ -442,13 +434,12 @@ def theta(window: SequenceWindow,
         raise ValueError("need at least four terms")
     # column k follows rules[k % 2]: even columns the five-parent step
     rules = ((_THETA_EVEN, _theta_gap, _theta_step), _INVERSE_RULE)
-    return _column_sweep(list(window.terms), window.base_index, rules, policy,
+    return _column_sweep(list(window.terms), window.base_index, rules,
                          keep_full, zero=0.0)
 
 
 def e_algorithm(window: SequenceWindow, basis: BasisFamily, k_max: int,
-                policy: BreakdownPolicy = _TABLEAU_POLICY,
-                keep_full: bool = False, return_aux: bool = False):
+                keep_full: bool = False) -> Tableau:
     """General extrapolation recursion over an arbitrary auxiliary basis.
 
     Main values follow
@@ -459,27 +450,20 @@ def e_algorithm(window: SequenceWindow, basis: BasisFamily, k_max: int,
     column; with a geometric basis the column-k kernel is the k-mode
     error model, and with g_i(n) = x_n^i it reproduces node-polynomial
     extrapolation.
-
-    With ``return_aux=True`` returns ``(tableau, aux)`` where
-    ``aux[(k, i)][n]`` holds g_{k,i}^(n).
     """
     _require_scalar(window, "the general recursion")
-    t, aux = _e_recursion(list(window.terms), window.base_index, basis, k_max,
-                          policy, keep_full)
-    if return_aux:
-        return t, aux
-    return t
+    return _e_recursion(list(window.terms), window.base_index, basis, k_max,
+                        keep_full)
 
 
 def _e_recursion(entries: list, base: int, basis: BasisFamily, k_max: int,
-                 policy: BreakdownPolicy, keep_full: bool):
+                 keep_full: bool) -> Tableau:
     """The general recursion over column 0 ``entries`` from index ``base``.
 
     Entries are floats (:func:`e_algorithm`) or vectors (the vector form,
     ``h_algorithm``); the auxiliaries are scalars either way, and entry
     (k, n) breaks down on the auxiliary denominator
-    g_{k-1,k}^(n+1) - g_{k-1,k}^(n).  Returns the tableau and
-    ``aux[(k, i)][n]`` = g_{k,i}^(n), for i up to ``k_max``.
+    g_{k-1,k}^(n+1) - g_{k-1,k}^(n).
     """
     length = len(entries)
     if k_max < 0:
@@ -505,14 +489,8 @@ def _e_recursion(entries: list, base: int, basis: BasisFamily, k_max: int,
             aux[(k, i)][n] = gi[n] - ratio * (gi[n + 1] - gi[n])
         return e0 - ratio * (e1 - e0)
 
-    t = _column_sweep(entries, base, ((_ADJACENT, gap, step),), policy,
-                      keep_full, last_column=k_max)
-    # The sweep never reached the columns past its first without a valid
-    # entry; their auxiliaries do not exist.
-    deepest = t.stored_columns()[-1]
-    for key in [key for key in aux if key[0] > deepest + 1]:
-        del aux[key]
-    return t, aux
+    return _column_sweep(entries, base, ((_ADJACENT, gap, step),), keep_full,
+                         last_column=k_max)
 
 
 def e_algorithm_determinant(window: SequenceWindow, basis: BasisFamily,

@@ -20,9 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    _TABLEAU_POLICY,
     BreakdownError,
-    BreakdownPolicy,
     Estimate,
     SequenceWindow,
     Tableau,
@@ -370,7 +368,6 @@ def sbeta(window: SequenceWindow, test_vectors: Sequence,
 
 
 def h_algorithm(window: SequenceWindow, basis, k_max: int,
-                policy: BreakdownPolicy = _TABLEAU_POLICY,
                 keep_full: bool = False) -> Tableau:
     """Vector form of the general auxiliary-basis recursion.
 
@@ -385,13 +382,10 @@ def h_algorithm(window: SequenceWindow, basis, k_max: int,
     same auxiliaries.
     """
     entries = list(window.rows(window.base_index, len(window)))
-    return _e_recursion(entries, window.base_index, basis, k_max, policy,
-                        keep_full)[0]
+    return _e_recursion(entries, window.base_index, basis, k_max, keep_full)
 
 
-def vea(window: SequenceWindow,
-        policy: BreakdownPolicy = _TABLEAU_POLICY,
-        keep_full: bool = False) -> Tableau:
+def vea(window: SequenceWindow, keep_full: bool = False) -> Tableau:
     """Lozenge recursion with the norm-scaled vector inverse.
 
     Identical in shape to the scalar inverse-difference recursion but with
@@ -403,8 +397,8 @@ def vea(window: SequenceWindow,
         raise ValueError("need at least three terms")
     rows = window.rows(window.base_index, len(window))
     return _column_sweep(list(rows), window.base_index,
-                         (_lozenge_rule(_norm, _vector_step),), policy,
-                         keep_full, zero=np.zeros(rows.shape[1]))
+                         (_lozenge_rule(_norm, _vector_step),), keep_full,
+                         zero=np.zeros(rows.shape[1]))
 
 
 def _norm(vector: np.ndarray) -> float:

@@ -166,6 +166,13 @@ class TestSolveCommand:
         assert code == 3
         assert "max_cycles" not in out.splitlines()[0]  # header stays fixed
 
+    def test_zero_size_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, ["solve", "--problem", "linear",
+                                          "--method", "rre", "--n", "0"])
+        assert code == 1
+        assert out == ""
+        assert "--n: must be at least 1" in err
+
 
 class TestIllposedCommand:
     def test_table_with_exact_columns(self, capsys):
@@ -305,6 +312,23 @@ class TestBenchCommand:
         assert code == 1
         assert out == ""
         assert "--tol: must be positive" in err
+
+    @pytest.mark.parametrize("problem", ["linear", "fredholm", "pagerank"])
+    def test_zero_size_exits_one(self, capsys, problem):
+        code, out, err = run_cli(capsys, ["bench", "--problem", problem,
+                                          "--methods", "picard", "--n", "0"])
+        assert code == 1
+        assert out == ""
+        assert "--n: must be at least 1" in err
+
+    @pytest.mark.parametrize("coupling", ["nan", "inf"])
+    def test_nonfinite_coupling_exits_one(self, capsys, coupling):
+        code, out, err = run_cli(capsys, [
+            "bench", "--problem", "fredholm", "--n", "20", "--coupling",
+            coupling, "--methods", "picard,rre"])
+        assert code == 1
+        assert out == ""
+        assert "coupling must be finite" in err
 
     def test_problem_is_built_once_per_call(self, capsys, monkeypatch):
         build = cli._build_problem

@@ -1,4 +1,4 @@
-"""Tests for sequence windows, forward differences, tableaux, breakdown policy."""
+"""Tests for sequence windows, forward differences, tableaux, the breakdown check."""
 
 import math
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from accelerant.core import (
     BreakdownError,
-    BreakdownPolicy,
     Estimate,
     SequenceWindow,
     Tableau,
@@ -171,9 +170,8 @@ def test_exact_zero_always_fails():
 
 
 def test_threshold_scales_with_local_scale():
-    policy = BreakdownPolicy(relative_threshold=1e-12)
-    assert breakdown_check(1e-10, 1.0, policy) is True
-    assert breakdown_check(1e-10, 1e4, policy) is False
+    assert breakdown_check(1e-10, 1.0) is True
+    assert breakdown_check(1e-10, 1e4) is False
 
 
 def test_arrays_are_checked_elementwise():
@@ -188,10 +186,6 @@ def test_arrays_are_checked_elementwise():
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        BreakdownPolicy(relative_threshold=0.0)
-    with pytest.raises(ValueError):
-        BreakdownPolicy(action="explode")
     with pytest.raises(ValueError):
         breakdown_check(1.0, -1.0)
 

@@ -2,12 +2,10 @@
 
 ``golden_recursions.json`` holds the tableaux of ``epsilon_scalar``,
 ``rho``, ``theta``, ``vea``, ``richardson_table`` (standard and
-step-halving nodes), ``e_algorithm`` (with its auxiliaries) and
-``h_algorithm`` on a fixed set of windows, as ``float.hex`` strings, with
-the flagged positions and the ``BreakdownError`` fields raised under
-``action="error"``; and, for the default table that evicts old columns,
-its stored columns, entries and best estimate.  Every value must match
-exactly.
+step-halving nodes), ``e_algorithm`` and ``h_algorithm`` on a fixed set
+of windows, as ``float.hex`` strings, with the flagged positions; and,
+for the default table that evicts old columns, its stored columns,
+entries and best estimate.  Every value must match exactly.
 
 Regenerate (only on purpose, when a recursion's arithmetic changes) with
 ``PYTHONPATH=src python tests/test_golden.py --write``.
@@ -19,7 +17,7 @@ import sys
 
 import numpy as np
 
-from accelerant.core import BreakdownError, BreakdownPolicy, SequenceWindow
+from accelerant.core import BreakdownError, SequenceWindow
 from accelerant.problems import series_generator
 from accelerant.scalar import (
     BasisFamily,
@@ -35,9 +33,6 @@ from accelerant.vector import h_algorithm, vea
 GOLDEN = pathlib.Path(__file__).with_name("golden_recursions.json")
 
 SERIES = ("log2", "leibniz_pi", "logarithmic", "geometric_mixture")
-
-ERROR_POLICY = BreakdownPolicy(action="error")
-SKIP_POLICY = BreakdownPolicy(action="skip-entry")
 
 
 def windows() -> dict[str, SequenceWindow]:
@@ -91,58 +86,34 @@ def _evicting(table) -> dict:
             "entries": _table(table)["entries"]}
 
 
-def _error_fields(run) -> dict | None:
-    try:
-        run()
-    except BreakdownError as exc:
-        return {"order_k": exc.order_k, "index_n": exc.index_n,
-                "denominator": _hex(exc.denominator), "scale": _hex(exc.scale)}
-    return None
-
-
 def record() -> dict:
     """Every recorded output, keyed ``function/window[/basis or nodes]``."""
     out = {}
     for name, window in windows().items():
-        calls = {"vea": lambda p, full, w=window: vea(w, p, keep_full=full)}
+        calls = {"vea": lambda full, w=window: vea(w, keep_full=full)}
         if window.is_scalar:
-            calls["epsilon_scalar"] = lambda p, full, w=window: \
-                epsilon_scalar(w, p, keep_full=full)
-            calls["rho"] = lambda p, full, w=window: \
-                rho(w, None, p, keep_full=full)
-            calls["theta"] = lambda p, full, w=window: \
-                theta(w, p, keep_full=full)
+            calls["epsilon_scalar"] = lambda full, w=window: \
+                epsilon_scalar(w, keep_full=full)
+            calls["rho"] = lambda full, w=window: rho(w, keep_full=full)
+            calls["theta"] = lambda full, w=window: theta(w, keep_full=full)
             for nodes_name, x in node_sets(window).items():
                 calls[f"richardson_table/{nodes_name}"] = \
-                    lambda p, full, w=window, x=x: \
-                    richardson_table(w, x, p, keep_full=full)
+                    lambda full, w=window, x=x: \
+                    richardson_table(w, x, keep_full=full)
         k_max = min(4, len(window) - 1)
         for basis_name, basis in bases(window).items():
             calls[f"h_algorithm/{basis_name}"] = \
-                lambda p, full, w=window, b=basis: \
-                h_algorithm(w, b, k_max, p, keep_full=full)
+                lambda full, w=window, b=basis: \
+                h_algorithm(w, b, k_max, keep_full=full)
             if window.is_scalar:
                 calls[f"e_algorithm/{basis_name}"] = \
-                    lambda p, full, w=window, b=basis: \
-                    e_algorithm(w, b, k_max, p, keep_full=full,
-                                return_aux=True)
+                    lambda full, w=window, b=basis: \
+                    e_algorithm(w, b, k_max, keep_full=full)
         for label, call in calls.items():
             function, _, variant = label.partition("/")
             key = "/".join(filter(None, (function, name, variant)))
-            result = call(SKIP_POLICY, True)
-            if isinstance(result, tuple):
-                table, aux = result
-                entry = _table(table)
-                entry["aux"] = {f"{k},{i}": {str(n): _hex(v)
-                                             for n, v in sorted(col.items())}
-                                for (k, i), col in sorted(aux.items())}
-            else:
-                entry = _table(result)
-            entry["error"] = _error_fields(lambda c=call: c(ERROR_POLICY, True))
-            evicting = call(SKIP_POLICY, False)
-            if isinstance(evicting, tuple):
-                evicting = evicting[0]
-            entry["evicting"] = _evicting(evicting)
+            entry = _table(call(True))
+            entry["evicting"] = _evicting(call(False))
             out[key] = entry
     return out
 
@@ -160,10 +131,9 @@ def test_golden_inputs_reach_the_breakdown_paths():
     for function in ("epsilon_scalar", "rho", "theta", "vea"):
         for name in ("ties", "constant"):
             assert expected[f"{function}/{name}"]["flagged"]
-            assert expected[f"{function}/{name}"]["error"] is not None
     for function in ("e_algorithm", "h_algorithm"):
         assert expected[f"{function}/ties/terms"]["flagged"]
-        assert expected[f"{function}/constant/terms"]["error"] is not None
+        assert expected[f"{function}/constant/terms"]["flagged"]
 
 
 if __name__ == "__main__":

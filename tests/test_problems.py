@@ -232,6 +232,11 @@ class TestFredholm:
         with pytest.raises(ValueError):
             fredholm(1, 0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_coupling_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="coupling must be finite"):
+            fredholm(20, bad)
+
     def test_nonfinite_kernel_is_rejected(self):
         disc = fredholm_discretization(5, 0.5)
         kernel = np.array(disc.kernel_matrix)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accelerant.core import BreakdownError, BreakdownPolicy, SequenceWindow
+from accelerant.core import BreakdownError, SequenceWindow
 from accelerant.problems import series_generator
 from accelerant.scalar import (
     BasisFamily,
@@ -262,12 +262,6 @@ def test_epsilon_alternating_series_deep_column():
     assert abs(t.get_entry(10, 0) - ln2) < 1e-7
 
 
-def test_epsilon_error_policy_raises():
-    w = SequenceWindow([1.0, 1.0, 1.0, 1.0])
-    with pytest.raises(BreakdownError):
-        epsilon_scalar(w, policy=BreakdownPolicy(action="error"))
-
-
 def test_epsilon_flags_constant_window():
     t = epsilon_scalar(SequenceWindow([1.0, 1.0, 1.0, 1.0]), keep_full=True)
     assert t.is_flagged(1, 0)
@@ -332,17 +326,15 @@ def test_theta_accelerates_logarithmic_sequence():
     assert theta_tail * 10.0 <= raw_tail
 
 
-def test_theta_error_policy_raises():
-    error = BreakdownPolicy(action="error")
+def test_theta_flags_breakdown():
     w = SequenceWindow([1.0, 1.5, 1.75, 1.875, 1.875, 1.9, 2.0])
+    # the first entry epsilon_scalar flags on the same window
+    assert theta(w).flagged_entries()[0] == (1, 3)
+    assert epsilon_scalar(w).flagged_entries()[0] == (1, 3)
     with pytest.raises(BreakdownError) as raised:
-        theta(w, policy=error)
-    exc = raised.value
-    # the entry and magnitudes epsilon_scalar reports on the same window
-    assert (exc.order_k, exc.index_n) == (1, 3)
-    assert exc.denominator == 0.0 and exc.scale == 1.875
-    with pytest.raises(BreakdownError):
-        theta(SequenceWindow([1.5] * 6), policy=error)
+        theta(w, keep_full=True).get_entry(1, 3)
+    assert (raised.value.order_k, raised.value.index_n) == (1, 3)
+    assert theta(SequenceWindow([1.5] * 6)).flagged_entries()[0] == (1, 0)
 
 
 # -- e_algorithm -------------------------------------------------------------
