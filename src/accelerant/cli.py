@@ -263,7 +263,7 @@ def cmd_illposed(args) -> int:
     if args.exact:
         smooth = 1.0 / np.arange(1, model.rank + 1)
         exact = model.v @ smooth
-    k_max = min(args.k_max, model.rank)
+    k_max = min(args.k_max, model.rank - 1)  # rre_tsvd reads k_max + 1 terms
     table = csv_report(model, k_max, exact_solution=exact)
     residuals = [norm for _, _, norm in rre_tsvd(model, k_max)]
     lines = [table.rstrip("\n")]
@@ -519,7 +519,7 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--radius", type=float, default=0.9,
                         help="spectral radius of the linear test map "
                              "(default 0.9)")
-    parser.add_argument("--m", type=int, default=5,
+    parser.add_argument("--m", type=_positive_int, default=5,
                         help="restart width for vector methods (default 5)")
     parser.add_argument("--p", type=int, default=None,
                         help="warmup map applications per cycle (default 0; "

@@ -2,8 +2,9 @@
 
 Hand-rolled on numpy array primitives: modified Gram-Schmidt QR with one
 reorthogonalization pass, partially pivoted LU with growth monitoring,
-QR-based least squares with a minimum-norm fallback, a one-sided Jacobi
-SVD, and an Arnoldi-based GMRES reference used only as a test oracle.
+QR-based least squares, a one-sided Jacobi SVD, and an Arnoldi-based GMRES
+reference used only as a test oracle.  The least-squares minimum-norm
+fallback calls numpy's LAPACK.
 
 Matrices are plain 2-D float64 numpy arrays (stored column-major
 internally); vectors are 1-D arrays.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import breakdown_check
+from .core import _BREAKDOWN_THRESHOLD, breakdown_check
 
 __all__ = [
     "GmresTrace",
@@ -34,6 +35,11 @@ __all__ = [
 
 #: Element-growth ratio in LU beyond which a stability warning is emitted.
 _GROWTH_WARN = 1e8
+
+#: Jacobi sweeps stop once every column pair's relative inner product is at
+#: most this, and give up after this many sweeps.
+_ROTATION_TOL = 1e-14
+_MAX_SWEEPS = 60
 
 
 class RankDeficiencyError(ArithmeticError):
@@ -220,9 +226,9 @@ def _determinant(a) -> float:
 def least_squares(a, b) -> LeastSquaresFit:
     """Minimize ||b - A theta||_2 via MGS QR.
 
-    On rank deficiency the solver falls back to greedy column-pivoted
-    Gram-Schmidt and returns the minimum-norm solution (second QR of the
-    transposed leading block), flagged in the result.
+    When QR reports rank deficiency, LAPACK's ``np.linalg.lstsq`` returns
+    the minimum-norm solution instead, cutting singular values at the
+    same relative 1e-12 as the breakdown check, and the result is flagged.
     """
     a = _as_matrix(a)
     m, n = a.shape
@@ -234,74 +240,20 @@ def least_squares(a, b) -> LeastSquaresFit:
         theta = _solve_upper(f.r, f.q.T @ b)
         deficient = False
     except RankDeficiencyError:
-        theta = _min_norm_solution(a, b)
+        theta = np.linalg.lstsq(a, b, rcond=_BREAKDOWN_THRESHOLD)[0]
         deficient = True
     residual = float(np.linalg.norm(b - a @ theta))
     return LeastSquaresFit(coefficients=theta, residual_norm=residual,
                            rank_deficient=deficient)
 
 
-def _min_norm_solution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution via column-pivoted MGS."""
-    m, n = a.shape
-    work = a.copy()
-    q = np.zeros((m, n))
-    r = np.zeros((n, n))
-    piv = np.arange(n)
-    overall = float(np.max(np.linalg.norm(a, axis=0), initial=0.0))
-    rank = 0
-    for j in range(n):
-        norms = np.linalg.norm(work[:, j:], axis=0)
-        p = j + int(np.argmax(norms))
-        if not breakdown_check(norms[p - j], overall):
-            break
-        work[:, [j, p]] = work[:, [p, j]]
-        r[:, [j, p]] = r[:, [p, j]]
-        piv[[j, p]] = piv[[p, j]]
-        # the working column was already orthogonalized by the deferred
-        # updates below; one accumulating pass restores orthogonality
-        v = work[:, j].copy()
-        for i in range(j):
-            c = q[:, i] @ v
-            r[i, j] += c
-            v -= c * q[:, i]
-        nv = np.linalg.norm(v)
-        q[:, j] = v / nv
-        r[j, j] = nv
-        for rest in range(j + 1, n):
-            proj = q[:, j] @ work[:, rest]
-            r[j, rest] = proj
-            work[:, rest] -= proj * q[:, j]
-        rank = j + 1
-    if rank == 0:
-        return np.zeros(n)
-    # A P = Q [R1; 0] with R1 = r[:rank]; minimum-norm w solves R1 w = c
-    # with w in the row space of R1: factor R1^T = Q2 R2 and back-substitute.
-    r1 = r[:rank, :]
-    c = q[:, :rank].T @ b
-    f2 = qr_mgs(r1.T)
-    w = f2.q @ _solve_lower_unit_from_upper_t(f2.r, c)
-    theta = np.zeros(n)
-    theta[piv] = w
-    return theta
-
-
-def _solve_lower_unit_from_upper_t(r_upper: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Solve R^T z = c for upper-triangular R (forward substitution)."""
-    n = r_upper.shape[0]
-    z = np.zeros(n)
-    for i in range(n):
-        z[i] = (c[i] - r_upper[:i, i] @ z[:i]) / r_upper[i, i]
-    return z
-
-
-def jacobi_svd(a, rotation_tol: float = 1e-14, max_sweeps: int = 60) -> SvdFactors:
+def jacobi_svd(a) -> SvdFactors:
     """Thin SVD by one-sided Jacobi rotations on column pairs.
 
-    Sweeps continue until every pairwise column inner product is below
-    ``rotation_tol`` relative to the column norms, or the sweep cap is
-    reached (then :class:`SvdConvergenceError` reports the achieved
-    tolerance).  Requires rows >= cols and cols <= 1200.
+    Sweeps continue until every pairwise column inner product is at most
+    1e-14 relative to the column norms, or 60 sweeps have run (then
+    :class:`SvdConvergenceError` reports the achieved tolerance).
+    Requires rows >= cols and cols <= 1200.
     """
     a = _as_matrix(a)
     m, n = a.shape
@@ -312,7 +264,7 @@ def jacobi_svd(a, rotation_tol: float = 1e-14, max_sweeps: int = 60) -> SvdFacto
     w = a.copy()
     v = np.eye(n)
     worst = 0.0
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         worst = 0.0
         for p in range(n - 1):
             for q_ in range(p + 1, n):
@@ -324,7 +276,7 @@ def jacobi_svd(a, rotation_tol: float = 1e-14, max_sweeps: int = 60) -> SvdFacto
                     continue
                 rel = abs(apq) / denom
                 worst = max(worst, rel)
-                if rel <= rotation_tol:
+                if rel <= _ROTATION_TOL:
                     continue
                 zeta = (aqq - app) / (2.0 * apq)
                 t = np.sign(zeta) / (abs(zeta) + np.hypot(1.0, zeta))
@@ -338,11 +290,11 @@ def jacobi_svd(a, rotation_tol: float = 1e-14, max_sweeps: int = 60) -> SvdFacto
                 vp = v[:, p].copy()
                 v[:, p] = cs * vp - sn * v[:, q_]
                 v[:, q_] = sn * vp + cs * v[:, q_]
-        if worst <= rotation_tol:
+        if worst <= _ROTATION_TOL:
             break
     else:
         raise SvdConvergenceError(
-            f"one-sided Jacobi did not converge in {max_sweeps} sweeps "
+            f"one-sided Jacobi did not converge in {_MAX_SWEEPS} sweeps "
             f"(achieved relative rotation {worst:.3e})", achieved=worst)
 
     sigma = np.linalg.norm(w, axis=0)

@@ -36,7 +36,6 @@ from .linalg import RankDeficiencyError, _determinant, lu_solve
 
 __all__ = [
     "BasisFamily",
-    "KernelModel",
     "NodeSequence",
     "NonexistenceError",
     "RationalFunction",
@@ -62,32 +61,6 @@ _NEGLIGIBLE_DETERMINANT = "denominator determinant is negligible at order {order
 class NonexistenceError(ArithmeticError):
     """The requested transform is not defined for this input (singular
     coefficient system / degenerate table block)."""
-
-
-@dataclass(frozen=True)
-class KernelModel:
-    """Geometric error model s_n = limit + sum_j c_j * ratio_j**n.
-
-    Sequences of this form are mapped exactly to ``limit`` by the
-    transformations whose kernel has at least ``len(modes)`` modes.
-    Ratios must differ from 1; distinctness of their magnitudes is the
-    caller's responsibility where exactness arguments need it.
-    """
-
-    limit: float
-    modes: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        for _, ratio in self.modes:
-            if ratio == 1.0:
-                raise ValueError("mode ratios must differ from 1")
-
-    def term(self, n: int) -> float:
-        return self.limit + sum(c * r ** n for c, r in self.modes)
-
-    def window(self, count: int, base_index: int = 0) -> SequenceWindow:
-        return SequenceWindow([self.term(base_index + i) for i in range(count)],
-                              base_index=base_index)
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,10 @@ from accelerant.problems import (
     illposed_synthetic,
     pagerank,
     reaction_diffusion,
+    series_generator,
 )
 from accelerant.scalar import (
     BasisFamily,
-    KernelModel,
     NodeSequence,
     NonexistenceError,
     aitken_step,
@@ -532,7 +532,7 @@ def _random_modes(rng, n_modes):
         magnitudes.append(abs(ratio))
         modes.append((float(rng.uniform(0.5, 3.0))
                       * float(rng.choice([-1, 1])), ratio))
-    return KernelModel(limit, tuple(modes))
+    return limit, tuple(modes)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -541,23 +541,25 @@ def test_criterion_9_invariant_bundle():
 
     # kernel exactness for every scalar transform
     for _ in range(10):
-        one = _random_modes(rng, 1)
-        assert abs(aitken_step(*one.window(3).terms).value - one.limit) \
-            <= 1e-9 * max(1.0, abs(one.limit))
-        assert abs(theta(one.window(4), keep_full=True).get_entry(2, 0)
-                   - one.limit) <= 1e-9 * max(1.0, abs(one.limit))
+        limit, modes = _random_modes(rng, 1)
+        tolerance = 1e-9 * max(1.0, abs(limit))
+        w3 = series_generator("geometric_mixture", 3, limit, modes)
+        w4 = series_generator("geometric_mixture", 4, limit, modes)
+        assert abs(aitken_step(*w3.terms).value - limit) <= tolerance
+        assert abs(theta(w4, keep_full=True).get_entry(2, 0)
+                   - limit) <= tolerance
 
-        two = _random_modes(rng, 2)
-        tolerance = 1e-9 * max(1.0, abs(two.limit))
-        assert abs(shanks_oracle(two.window(5), k=2, n=0).value - two.limit) \
-            <= tolerance
-        assert abs(epsilon_scalar(two.window(5),
-                                  keep_full=True).get_entry(4, 0)
-                   - two.limit) <= tolerance
-        basis = BasisFamily.geometric([ratio for _, ratio in two.modes])
-        assert abs(e_algorithm(two.window(4), basis, k_max=2,
+        limit, modes = _random_modes(rng, 2)
+        tolerance = 1e-9 * max(1.0, abs(limit))
+        w4 = series_generator("geometric_mixture", 4, limit, modes)
+        w5 = series_generator("geometric_mixture", 5, limit, modes)
+        assert abs(shanks_oracle(w5, k=2, n=0).value - limit) <= tolerance
+        assert abs(epsilon_scalar(w5, keep_full=True).get_entry(4, 0)
+                   - limit) <= tolerance
+        basis = BasisFamily.geometric([ratio for _, ratio in modes])
+        assert abs(e_algorithm(w4, basis, k_max=2,
                                keep_full=True).get_entry(2, 0)
-                   - two.limit) <= tolerance
+                   - limit) <= tolerance
 
         # node-weighted recursion on a rational-in-the-nodes sequence
         a = float(rng.uniform(-3, 3))

@@ -199,6 +199,15 @@ class TestIllposedCommand:
         assert first.endswith(",,")
         assert "# error-optimal" not in out
 
+    def test_small_model_tabulates_rank_minus_one_rows(self, capsys):
+        # the default --k-max 40 exceeds the rank; rre_tsvd needs k + 1 terms
+        code, out, _ = run_cli(capsys, ["illposed", "--n", "10"])
+        assert code == 0
+        data = [line for line in out.strip().splitlines()
+                if not line.startswith("#")][1:]
+        assert [line.split(",")[0] for line in data] == \
+            [str(k) for k in range(1, 10)]
+
 
 class TestBenchCommand:
     def test_fredholm_picard_and_epsilon(self, capsys):
@@ -293,15 +302,16 @@ class TestBenchCommand:
 
         assert stable(first) == stable(second)
 
-    @pytest.mark.parametrize("method", ["picard", "aitken", "rre"])
+    @pytest.mark.parametrize("method", ["picard", "aitken", "rre", "mmpe"])
     def test_nonpositive_budget_exits_one(self, capsys, method):
-        for budget in ("0", "-3"):
+        for flag, value in (("--max-cycles", "0"), ("--max-cycles", "-3"),
+                            ("--m", "0")):
             code, out, err = run_cli(capsys, [
                 "bench", "--problem", "linear", "--methods", method,
-                "--max-cycles", budget])
+                flag, value])
             assert code == 1
             assert out == ""
-            assert "--max-cycles: must be at least 1" in err
+            assert f"{flag}: must be at least 1" in err
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
     def test_nonpositive_tol_exits_one(self, capsys, tol):

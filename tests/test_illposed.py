@@ -59,12 +59,14 @@ class TestSvdModel:
 
     def test_from_matrix_reconstructs(self):
         rng = np.random.default_rng(3)
-        a = rng.standard_normal((6, 4))
-        b = rng.standard_normal(6)
-        model = SvdModel.from_matrix(a, b)
-        rebuilt = model.u @ np.diag(model.sigma) @ model.v.T
-        assert np.allclose(rebuilt, a, atol=1e-10)
-        assert model.rank == 4
+        for shape in [(6, 4), (200, 200)]:
+            a = rng.standard_normal(shape)
+            b = rng.standard_normal(shape[0])
+            model = SvdModel.from_matrix(a, b)  # checks orthonormality too
+            rebuilt = model.u @ np.diag(model.sigma) @ model.v.T
+            assert np.allclose(rebuilt, a, atol=1e-10)
+            assert np.linalg.norm(rebuilt - a) <= 1e-10 * np.linalg.norm(a)
+            assert model.rank == shape[1]
 
 
 class TestTsvdSolution:

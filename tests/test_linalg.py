@@ -6,7 +6,6 @@ import pytest
 from accelerant.linalg import (
     GmresTrace,
     RankDeficiencyError,
-    SvdConvergenceError,
     gmres_oracle,
     jacobi_svd,
     least_squares,
@@ -145,6 +144,22 @@ def test_lstsq_min_norm_among_solutions():
     assert fit.rank_deficient
     np.testing.assert_allclose(fit.coefficients, [0.5, 0.5], atol=1e-10)
     assert fit.residual_norm <= 1e-10
+
+
+def test_lstsq_near_duplicate_column_takes_min_norm_path():
+    # column 1 = column 0 * (1 + 1e-14) fails the 1e-12 breakdown check, so
+    # the weights split evenly across the two copies of that column
+    rng = np.random.default_rng(19)
+    base = rng.standard_normal(50)
+    other = rng.standard_normal(50)
+    a = np.column_stack([base, base * (1.0 + 1e-14), other])
+    b = rng.standard_normal(50)
+    fit = least_squares(a, b)
+    assert fit.rank_deficient
+    reduced = np.linalg.lstsq(np.column_stack([base, other]), b, rcond=None)[0]
+    expect = [reduced[0] / 2.0, reduced[0] / 2.0, reduced[1]]
+    np.testing.assert_allclose(fit.coefficients, expect, rtol=1e-10)
+    assert fit.coefficients[0] == pytest.approx(fit.coefficients[1], rel=1e-12)
 
 
 def test_lstsq_matches_normal_equations():

@@ -12,7 +12,6 @@ from accelerant.core import BreakdownError, SequenceWindow
 from accelerant.problems import series_generator
 from accelerant.scalar import (
     BasisFamily,
-    KernelModel,
     NodeSequence,
     NonexistenceError,
     RationalFunction,
@@ -95,7 +94,7 @@ def test_aitken_quasi_linearity(a, b, seed):
 # -- iterated_aitken ---------------------------------------------------------
 
 def test_iterated_level_one_exact_on_kernel():
-    w = KernelModel(2.0, ((3.0, 0.5),)).window(5)
+    w = series_generator("geometric_mixture", 5, 2.0, ((3.0, 0.5),))
     levels = iterated_aitken(w, max_k=1)
     assert len(levels) == 2
     for e in levels[1]:
@@ -207,7 +206,7 @@ def test_shanks_two_mode_kernel():
 
 
 def test_shanks_breaks_down_past_kernel_order():
-    w = KernelModel(1.0, ((2.0, 0.5),)).window(5)
+    w = series_generator("geometric_mixture", 5, 1.0, ((2.0, 0.5),))
     with pytest.raises(BreakdownError):
         shanks_oracle(w, k=2, n=0)
 
@@ -312,7 +311,7 @@ def test_theta_exact_on_kernel_members():
         lam = float(rng.uniform(-0.9, 0.9))
         if abs(lam) < 0.05:
             continue
-        w = KernelModel(s, ((c, lam),)).window(4)
+        w = series_generator("geometric_mixture", 4, s, ((c, lam),))
         t = theta(w, keep_full=True)
         assert t.get_entry(2, 0) == pytest.approx(s, rel=1e-9, abs=1e-9)
 
@@ -500,34 +499,38 @@ def _random_kernel(rng, n_modes):
         mags.append(abs(lam))
         modes.append((float(rng.uniform(0.5, 3.0)) * float(rng.choice([-1, 1])),
                       lam))
-    return KernelModel(limit, tuple(modes))
+    return limit, tuple(modes)
 
 
 def test_kernel_exactness_suite():
     rng = np.random.default_rng(67)
     for _ in range(25):
-        one = _random_kernel(rng, 1)
-        w3 = one.window(3)
+        limit, modes = _random_kernel(rng, 1)
+        w3 = series_generator("geometric_mixture", 3, limit, modes)
         assert aitken_step(*w3.terms).value == pytest.approx(
-            one.limit, rel=1e-9, abs=1e-9)
-        t_eps = epsilon_scalar(one.window(3), keep_full=True)
-        assert t_eps.get_entry(2, 0) == pytest.approx(one.limit, rel=1e-9,
+            limit, rel=1e-9, abs=1e-9)
+        t_eps = epsilon_scalar(w3, keep_full=True)
+        assert t_eps.get_entry(2, 0) == pytest.approx(limit, rel=1e-9,
                                                       abs=1e-9)
-        t_th = theta(one.window(4), keep_full=True)
-        assert t_th.get_entry(2, 0) == pytest.approx(one.limit, rel=1e-9,
+        w4 = series_generator("geometric_mixture", 4, limit, modes)
+        t_th = theta(w4, keep_full=True)
+        assert t_th.get_entry(2, 0) == pytest.approx(limit, rel=1e-9,
                                                      abs=1e-9)
 
-        two = _random_kernel(rng, 2)
-        e2 = shanks_oracle(two.window(5), k=2, n=0)
-        assert e2.value == pytest.approx(two.limit, rel=1e-9, abs=1e-9)
-        basis = BasisFamily.geometric([lam for _, lam in two.modes])
-        t_e = e_algorithm(two.window(4), basis, k_max=2, keep_full=True)
-        assert t_e.get_entry(2, 0) == pytest.approx(two.limit, rel=1e-9,
+        limit, modes = _random_kernel(rng, 2)
+        w5 = series_generator("geometric_mixture", 5, limit, modes)
+        e2 = shanks_oracle(w5, k=2, n=0)
+        assert e2.value == pytest.approx(limit, rel=1e-9, abs=1e-9)
+        basis = BasisFamily.geometric([lam for _, lam in modes])
+        w4 = series_generator("geometric_mixture", 4, limit, modes)
+        t_e = e_algorithm(w4, basis, k_max=2, keep_full=True)
+        assert t_e.get_entry(2, 0) == pytest.approx(limit, rel=1e-9,
                                                     abs=1e-9)
 
-        three = _random_kernel(rng, 3)
-        e3 = shanks_oracle(three.window(7), k=3, n=0)
-        assert e3.value == pytest.approx(three.limit, rel=1e-9, abs=1e-9)
+        limit, modes = _random_kernel(rng, 3)
+        w7 = series_generator("geometric_mixture", 7, limit, modes)
+        e3 = shanks_oracle(w7, k=3, n=0)
+        assert e3.value == pytest.approx(limit, rel=1e-9, abs=1e-9)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -567,11 +570,6 @@ def test_node_sequence_validation():
         with pytest.raises(ValueError, match="positive and finite"):
             NodeSequence((1.0, bad, 3.0))
     assert NodeSequence.standard(3).values == (1.0, 2.0, 3.0)
-
-
-def test_kernel_model_rejects_unit_ratio():
-    with pytest.raises(ValueError):
-        KernelModel(0.0, ((1.0, 1.0),))
 
 
 def test_basis_family_rejects_nonfinite():
