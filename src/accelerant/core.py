@@ -6,16 +6,19 @@ is built on the three primitives in this module:
 * :class:`SequenceWindow` — an immutable, contiguous buffer of scalar or
   vector terms with forward-difference access;
 * :class:`Tableau` — two-column rolling storage for the triangular
-  tables (Richardson, epsilon, rho, theta, E, H) with per-entry
+  tables (Richardson, epsilon, rho, theta, vea, E, H) with per-entry
   breakdown flags;
 * :func:`breakdown_check` — the single shared rule deciding when a
   denominator is too small to divide by.
 
 One column sweep (``_column_sweep``) fills every tableau: Richardson,
-epsilon, rho, theta and the E/H recursions each supply only their entry
-formula and the parents it reads, and the sweep alone decides how a
-breakdown spreads and where a table ends.  The diagonal form of the
-lozenge update is the command line's streaming kernel.
+epsilon, rho, theta, vea and the E/H recursions each supply only their
+entry formula, written over whole columns, and the parents it reads.
+The sweep computes each column as array operations over all of its
+entries, masks the entries that read a flagged parent or fail the
+breakdown check, and alone decides how a breakdown spreads and where a
+table ends.  The diagonal form of the lozenge update is the command
+line's streaming kernel.
 
 All arithmetic is plain 64-bit binary floating point.
 """
@@ -79,11 +82,16 @@ def breakdown_check(denominator: float, local_scale: float) -> bool:
     if isinstance(local_scale, np.ndarray):
         if np.any(local_scale < 0):
             raise ValueError("local scale must be nonnegative")
-        return np.abs(denominator) > \
-            _BREAKDOWN_THRESHOLD * np.maximum(local_scale, _TINY)
+        return _passes(np.abs(denominator), local_scale)
     if local_scale < 0:
         raise ValueError("local scale must be nonnegative")
     return abs(denominator) > _BREAKDOWN_THRESHOLD * max(local_scale, _TINY)
+
+
+def _passes(size: np.ndarray, local_scale: np.ndarray) -> np.ndarray:
+    """:func:`breakdown_check` on denominator magnitudes and nonnegative
+    scales."""
+    return size > _BREAKDOWN_THRESHOLD * np.maximum(local_scale, _TINY)
 
 
 def _require_safe(denominator: float, scale: float, message: str,
@@ -259,9 +267,12 @@ class Tableau:
     columns are retained: starting column k evicts the columns no
     recursion writing it can still read, those up to k - 3, and
     ``compact`` keeps the last two; ``keep_full=True`` disables eviction
-    for debugging and oracle tests.  Entry ``(k, n)`` requires parents
-    ``(k-1, n)`` and ``(k-1, n+1)``, stored or flagged, unless ``k`` is
-    -1 or 0, so tables fill column by column.
+    for debugging and oracle tests.  :meth:`set_entry` stores one entry,
+    which requires parents ``(k-1, n)`` and ``(k-1, n+1)``, stored or
+    flagged, unless ``k`` is -1 or 0, so tables fill column by column.
+    The column sweep stores a whole column, with its flags, in one step.
+    Scalar entries are Python floats; vector entries are rows, which a
+    table may share with the arrays it was built from.
 
     ``estimate_parity`` marks which columns hold genuine limit estimates:
     ``"even"`` for epsilon-type tables whose odd columns are auxiliary,
@@ -305,13 +316,43 @@ class Tableau:
                 raise ValueError(
                     f"entry ({k}, {n}) requires parents ({k - 1}, {n}) "
                     f"and ({k - 1}, {n + 1})")
+        self._open_column(k)[n] = value
+
+    def _open_column(self, k: int) -> dict[int, Term]:
+        """Column k's storage, created on first use, evicting as documented."""
+        columns = self._columns
         column = columns.get(k)
         if column is None:
             column = columns[k] = {}
             if not self.keep_full:
                 for old in [c for c in columns if c <= k - 3]:
                     del columns[old]
-        column[n] = value
+        return column
+
+    def _set_column(self, k: int, start: int, values: np.ndarray,
+                    valid: np.ndarray | None = None) -> int:
+        """Store column k in one step: ``values[i]`` at n = start + i.
+
+        ``values`` is 1-D (stored as Python floats) or 2-D (its rows are
+        stored); entries where ``valid`` is False are flagged instead, and
+        ``valid=None`` means all are valid.  The column is created, as by
+        :meth:`set_entry`, only if one entry is valid.  Parents are not
+        checked: the column sweep is the caller.  Returns how many entries
+        were stored.
+        """
+        entries = values.tolist() if values.ndim == 1 else list(values)
+        if valid is None:
+            stored = dict(zip(range(start, start + len(entries)), entries))
+        else:
+            ok = valid.tolist()
+            stored = {start + i: entry for i, entry in enumerate(entries)
+                      if ok[i]}
+            if len(stored) < len(ok):
+                self._flags.update((k, start + i)
+                                   for i, good in enumerate(ok) if not good)
+        if stored:
+            self._open_column(k).update(stored)
+        return len(stored)
 
     def flag_breakdown(self, k: int, n: int) -> None:
         """Mark entry (k, n) as broken; reads of it raise from then on."""
@@ -369,71 +410,78 @@ class Tableau:
 _LOZENGE = ((1, 0), (1, 1), (2, 1))
 
 
-def _column_sweep(entries: list, base: int, rules, keep_full: bool,
-                  zero: Term | None = None,
+def _column_sweep(column0: np.ndarray, base: int, rules, keep_full: bool,
+                  lozenge: bool = False,
                   last_column: int | None = None) -> Tableau:
-    """Fill a :class:`Tableau` column by column from column 0 ``entries``.
+    """Fill a :class:`Tableau` column by column from ``column0``.
 
-    Column 0 starts at index ``base``.  ``zero``, when given, is column -1
-    (one entry longer) of a lozenge-type table, whose even columns are the
+    ``column0`` holds column 0 from index ``base``: one float per entry
+    (1-D) or one vector per row (2-D).  A ``lozenge`` table also has a
+    column -1 of zeros, one entry longer, and its even columns are the
     estimates; otherwise every column is.  Column k >= 1 follows
     ``rules[k % len(rules)]``, a triple ``(parents, gap, step)``: entry
     (k, n) reads the entries (k - dk, n + dn) for (dk, dn) in ``parents``,
-    in that order, ``gap(k, n, *reads)`` returns ``(carry, denominator,
-    scale)``, and ``step(k, n, carry, denominator, *reads)`` returns the
-    entry once :func:`breakdown_check` passes on denominator and scale.
+    in that order.  Both functions see the whole column at once, each read
+    as an array whose row i belongs to n = base + i: ``gap(k, *reads)``
+    returns ``(carry, size, scale)``, with ``size`` the magnitude of the
+    denominator, and ``step(k, carry, size, *reads)`` the column's values,
+    which count where :func:`breakdown_check` passes on size and scale.
 
     This is the one place that decides how a breakdown spreads: an entry
     that reads a flagged one, or whose check fails, is flagged, and reading
-    it raises :class:`BreakdownError`.  Column k covers every n whose
-    parents exist; the table ends with its first column that holds no valid
-    entry, or after ``last_column``, and is then compacted.
+    it raises :class:`BreakdownError`.  The rules also compute the flagged
+    rows, whose values are never stored, so floating-point warnings are
+    silenced here.  Column k covers every n whose parents exist; the table
+    ends with its first column that holds no valid entry, or after
+    ``last_column``, and is then compacted.
     """
-    table = Tableau(keep_full, "all" if zero is None else "even")
-    last = {0: base + len(entries) - 1}
-    if zero is not None:
-        last[-1] = base + len(entries)
-        for n in range(base, last[-1] + 1):
-            table.set_entry(-1, n, zero)
-    for i, entry in enumerate(entries):
-        table.set_entry(0, base + i, entry)
-    columns = table._columns
+    table = Tableau(keep_full, "even" if lozenge else "all")
+    columns = {0: column0}
+    valid = {-1: None, 0: None}  # validity masks; None: no entry flagged
+    if lozenge:
+        shape = (len(column0) + 1,) + column0.shape[1:]
+        columns[-1] = np.broadcast_to(np.zeros(column0.shape[1:]), shape)
+        table._set_column(-1, base, columns[-1])
+    table._set_column(0, base, column0)
     k = 1
-    while last_column is None or k <= last_column:
-        parents, gap, step = rules[k % len(rules)]
-        sources = [(columns[k - dk], dn) for dk, dn in parents]
-        last[k] = min(last[k - dk] - dn for dk, dn in parents)
-        alive = False
-        for n in range(base, last[k] + 1):
-            try:
-                reads = [column[n + dn] for column, dn in sources]
-            except KeyError:  # flagged entries are not stored
-                table.flag_breakdown(k, n)
-                continue
-            carry, denominator, scale = gap(k, n, *reads)
-            if breakdown_check(denominator, scale):
-                table.set_entry(k, n, step(k, n, carry, denominator, *reads))
-                alive = True
-            else:
-                table.flag_breakdown(k, n)
-        if not alive:
-            break
-        k += 1
+    with np.errstate(all="ignore"):
+        while last_column is None or k <= last_column:
+            parents, gap, step = rules[k % len(rules)]
+            count = min(len(columns[k - dk]) - dn for dk, dn in parents)
+            if count <= 0:
+                break
+            reads = [columns[k - dk][dn:dn + count] for dk, dn in parents]
+            carry, size, scale = gap(k, *reads)
+            ok = _passes(size, scale)
+            for dk, dn in parents:
+                if valid[k - dk] is not None:
+                    ok &= valid[k - dk][dn:dn + count]
+            columns[k] = step(k, carry, size, *reads)
+            stored = table._set_column(k, base, columns[k], ok)
+            if not stored:
+                break
+            valid[k] = None if stored == count else ok
+            k += 1
     table.compact()
     return table
 
 
-def _lozenge_rule(size, step) -> tuple:
+def _lozenge_rule(size, step, out=None) -> tuple:
     """The :func:`_column_sweep` rule of a lozenge column.
 
-    Entry (k, n) is ``step(k, n, d, size(d), a, b, back)`` with a, b its
+    Entry (k, n) is ``step(k, d, size(d), a, b, back)`` with a, b its
     parents e_{k-1}^(n), e_{k-1}^(n+1), back = e_{k-2}^(n+1) and
     d = b - a; it breaks down when :func:`breakdown_check` fails on
-    ``size(d)`` against the larger parent size.
+    ``size(d)`` against the larger parent size.  ``size`` maps a column to
+    its entries' sizes; each parent's size is taken once, since b is a
+    shifted by one row.  ``out(k, count)``, when given, returns the array
+    that column k's differences are written into.
     """
-    def gap(k, n, a, b, back):
-        d = b - a
-        return d, size(d), max(size(a), size(b))
+    def gap(k, a, b, back):
+        d = b - a if out is None else np.subtract(b, a, out=out(k, len(a)))
+        sizes = size(a)
+        later = np.concatenate((sizes[1:], size(b[-1:])))
+        return d, size(d), np.maximum(sizes, later)
 
     return _LOZENGE, gap, step
 

@@ -334,6 +334,7 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
                 value = seq[-1]
                 fallbacks += 1
             current = np.array(value, dtype=float)
+            del value  # a vea value is a view of its table's block
         cycles += 1
         if rewarm_each_cycle:
             current = warmup(current)

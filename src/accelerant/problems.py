@@ -278,15 +278,28 @@ def laplacian_apply(grid_values: np.ndarray, p_grid: int,
     """Five-point Laplacian on the interior of a uniform square grid.
 
     Input and output are flattened p x p interior samples; the boundary
-    is held at zero.
+    is held at zero.  Each neighbour is a contiguous shift of the flat
+    vector: by p for the rows above and below, by 1 for the columns left
+    and right.  The boundary terms are zeros, and x - 0.0 is x, so the
+    rows a shift by p would read off the grid are left out, and the grid
+    column a shift by 1 must not touch is saved and put back.
     """
-    g = np.asarray(grid_values, dtype=float).reshape(p_grid, p_grid)
-    padded = np.zeros((p_grid + 2, p_grid + 2))
-    padded[1:-1, 1:-1] = g
-    lap = (4.0 * g
-           - padded[:-2, 1:-1] - padded[2:, 1:-1]
-           - padded[1:-1, :-2] - padded[1:-1, 2:]) / (spacing * spacing)
-    return lap.ravel()
+    x = np.asarray(grid_values, dtype=float).ravel()
+    if x.size != p_grid * p_grid:
+        raise ValueError(f"expected {p_grid * p_grid} grid values, "
+                         f"got {x.size}")
+    p = p_grid
+    lap = 4.0 * x
+    lap[p:] -= x[:-p]
+    lap[:-p] -= x[p:]
+    first = lap[::p].copy()
+    lap[1:] -= x[:-1]
+    lap[::p] = first
+    last = lap[p - 1::p].copy()
+    lap[:-1] -= x[1:]
+    lap[p - 1::p] = last
+    lap /= spacing * spacing
+    return lap
 
 
 def reaction_diffusion(p_grid: int) -> FixedPointProblem:
@@ -310,8 +323,13 @@ def reaction_diffusion(p_grid: int) -> FixedPointProblem:
 
     def apply_map(u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        residual = rhs - laplacian_apply(u, p_grid, spacing) - u ** 3
-        return u + omega * residual
+        # u + omega * (rhs - A u - u ** 3), finished in the fresh A u
+        image = laplacian_apply(u, p_grid, spacing)
+        np.subtract(rhs, image, out=image)
+        image -= u ** 3
+        image *= omega
+        image += u
+        return image
 
     return FixedPointProblem(dimension=p_grid * p_grid, mapping=apply_map,
                              initial_guess=np.zeros(p_grid * p_grid),

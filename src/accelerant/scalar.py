@@ -291,9 +291,11 @@ def pade_approximant(coefficients: Sequence[float], m: int, n: int) -> RationalF
 # tableau builders
 # ---------------------------------------------------------------------------
 
-def _require_scalar(window: SequenceWindow, what: str) -> None:
+def _require_scalar(window: SequenceWindow, what: str) -> np.ndarray:
+    """The window's terms as one read-only 1-D array, if they are scalars."""
     if not window.is_scalar:
         raise ValueError(f"{what} applies to scalar windows")
+    return window.rows(window.base_index, len(window))[:, 0]
 
 
 #: Parents (k - dk, n + dn) of a Richardson or E entry (k, n), as (dk, dn).
@@ -303,20 +305,20 @@ _ADJACENT = ((1, 0), (1, 1))
 _THETA_EVEN = ((1, 0), (1, 1), (1, 2), (2, 1), (2, 2))
 
 
-def _inverse_step(k, n, d, size, a, b, back):
+def _inverse_step(k, d, size, a, b, back):
     return back + 1.0 / d
 
 
 #: The inverse-difference lozenge column of epsilon and of theta's odd step.
-_INVERSE_RULE = _lozenge_rule(abs, _inverse_step)
+_INVERSE_RULE = _lozenge_rule(np.abs, _inverse_step)
 
 
-def _theta_gap(k, n, o0, o1, o2, e1, e2):
+def _theta_gap(k, o0, o1, o2, e1, e2):
     denom = o2 - 2.0 * o1 + o0
-    return denom, abs(denom), max(abs(o2 - o1), abs(o1 - o0))
+    return denom, np.abs(denom), np.maximum(np.abs(o2 - o1), np.abs(o1 - o0))
 
 
-def _theta_step(k, n, denom, size, o0, o1, o2, e1, e2):
+def _theta_step(k, denom, size, o0, o1, o2, e1, e2):
     return e1 + (e2 - e1) * (o2 - o1) / denom
 
 
@@ -331,24 +333,23 @@ def richardson_table(window: SequenceWindow, nodes: NodeSequence,
     [0.9, 1) are accepted but trigger a RuntimeWarning, since the
     convergence guarantee for x_n -> 0 assumes ratios bounded below 1.
     """
-    _require_scalar(window, "node-based extrapolation")
+    terms = _require_scalar(window, "node-based extrapolation")
     base = window.base_index
-    x = {n: nodes.value(n) for n in range(base, window.last_index + 1)}
+    x = np.array([nodes.value(n) for n in range(base, window.last_index + 1)])
     if nodes.ratios_near_one():
         warnings.warn(
             "consecutive node ratios lie close to 1; extrapolation may "
             "converge slowly or not at all", RuntimeWarning, stacklevel=2)
 
-    def gap(k, n, a, b):
-        xn, xnk = x[n], x[n + k]
+    def gap(k, a, b):
+        xn, xnk = x[:len(a)], x[k:k + len(a)]
         denom = xnk - xn
-        return denom, abs(denom), max(abs(xn), abs(xnk))
+        return denom, np.abs(denom), np.maximum(np.abs(xn), np.abs(xnk))
 
-    def step(k, n, denom, size, a, b):
-        return a - x[n] * (b - a) / denom
+    def step(k, denom, size, a, b):
+        return a - x[:len(a)] * (b - a) / denom
 
-    return _column_sweep(list(window.terms), base, ((_ADJACENT, gap, step),),
-                         keep_full)
+    return _column_sweep(terms, base, ((_ADJACENT, gap, step),), keep_full)
 
 
 def epsilon_scalar(window: SequenceWindow, keep_full: bool = False) -> Tableau:
@@ -360,11 +361,11 @@ def epsilon_scalar(window: SequenceWindow, keep_full: bool = False) -> Tableau:
     auxiliary.  Broken entries are flagged and their dependents
     suppressed.
     """
-    _require_scalar(window, "the inverse-difference recursion")
+    terms = _require_scalar(window, "the inverse-difference recursion")
     if len(window) < 3:
         raise ValueError("need at least three terms")
-    return _column_sweep(list(window.terms), window.base_index,
-                         (_INVERSE_RULE,), keep_full, zero=0.0)
+    return _column_sweep(terms, window.base_index, (_INVERSE_RULE,), keep_full,
+                         lozenge=True)
 
 
 def rho(window: SequenceWindow, nodes: NodeSequence | None = None,
@@ -375,7 +376,7 @@ def rho(window: SequenceWindow, nodes: NodeSequence | None = None,
     with the default nodes x_n = n + 1.  User nodes must be strictly
     increasing (checked eagerly); even columns are the estimates.
     """
-    _require_scalar(window, "the node-weighted recursion")
+    terms = _require_scalar(window, "the node-weighted recursion")
     if len(window) < 3:
         raise ValueError("need at least three terms")
     base, length = window.base_index, len(window)
@@ -383,13 +384,13 @@ def rho(window: SequenceWindow, nodes: NodeSequence | None = None,
         nodes = NodeSequence.standard(length, start_index=base)
     elif not nodes.is_strictly_increasing():
         raise ValueError("nodes must be strictly increasing")
-    x = {n: nodes.value(n) for n in range(base, base + length)}
+    x = np.array([nodes.value(n) for n in range(base, base + length)])
 
-    def step(k, n, d, size, a, b, back):
-        return back + (x[n + k] - x[n]) / d
+    def step(k, d, size, a, b, back):
+        return back + (x[k:k + len(d)] - x[:len(d)]) / d
 
-    return _column_sweep(list(window.terms), base, (_lozenge_rule(abs, step),),
-                         keep_full, zero=0.0)
+    return _column_sweep(terms, base, (_lozenge_rule(np.abs, step),),
+                         keep_full, lozenge=True)
 
 
 def theta(window: SequenceWindow, keep_full: bool = False) -> Tableau:
@@ -402,13 +403,13 @@ def theta(window: SequenceWindow, keep_full: bool = False) -> Tableau:
     Even columns are the estimates.  Needs at least four terms for the
     first even estimate.
     """
-    _require_scalar(window, "the damped recursion")
+    terms = _require_scalar(window, "the damped recursion")
     if len(window) < 4:
         raise ValueError("need at least four terms")
     # column k follows rules[k % 2]: even columns the five-parent step
     rules = ((_THETA_EVEN, _theta_gap, _theta_step), _INVERSE_RULE)
-    return _column_sweep(list(window.terms), window.base_index, rules,
-                         keep_full, zero=0.0)
+    return _column_sweep(terms, window.base_index, rules, keep_full,
+                         lozenge=True)
 
 
 def e_algorithm(window: SequenceWindow, basis: BasisFamily, k_max: int,
@@ -424,45 +425,44 @@ def e_algorithm(window: SequenceWindow, basis: BasisFamily, k_max: int,
     error model, and with g_i(n) = x_n^i it reproduces node-polynomial
     extrapolation.
     """
-    _require_scalar(window, "the general recursion")
-    return _e_recursion(list(window.terms), window.base_index, basis, k_max,
-                        keep_full)
+    terms = _require_scalar(window, "the general recursion")
+    return _e_recursion(terms, window.base_index, basis, k_max, keep_full)
 
 
-def _e_recursion(entries: list, base: int, basis: BasisFamily, k_max: int,
-                 keep_full: bool) -> Tableau:
-    """The general recursion over column 0 ``entries`` from index ``base``.
+def _e_recursion(column0: np.ndarray, base: int, basis: BasisFamily,
+                 k_max: int, keep_full: bool) -> Tableau:
+    """The general recursion over ``column0`` from index ``base``.
 
-    Entries are floats (:func:`e_algorithm`) or vectors (the vector form,
-    ``h_algorithm``); the auxiliaries are scalars either way, and entry
-    (k, n) breaks down on the auxiliary denominator
+    Its entries are floats (1-D, :func:`e_algorithm`) or vector rows (2-D,
+    the vector form ``h_algorithm``); the auxiliaries are scalars either
+    way, and entry (k, n) breaks down on the auxiliary denominator
     g_{k-1,k}^(n+1) - g_{k-1,k}^(n).
     """
-    length = len(entries)
+    length = len(column0)
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     if length < k_max + 1:
         raise ValueError(f"need at least {k_max + 1} terms for order {k_max}")
-    aux: dict[tuple[int, int], dict[int, float]] = {}
-    for i in range(1, k_max + 1):
-        aux[(0, i)] = {base + j: basis.value(i, base + j) for j in range(length)}
-    for k in range(1, k_max + 1):
-        for i in range(k + 1, k_max + 1):
-            aux[(k, i)] = {}
+    # row i - 1 holds g_{k,i}, updated in place by column k for every i > k
+    aux = np.array([[basis.value(i, base + j) for j in range(length)]
+                    for i in range(1, k_max + 1)]).reshape(k_max, length)
 
-    def gap(k, n, e0, e1):
-        g = aux[(k - 1, k)]
-        denom = g[n + 1] - g[n]
-        return denom, abs(denom), max(abs(g[n]), abs(g[n + 1]))
+    def gap(k, e0, e1):
+        g = aux[k - 1, :len(e0) + 1]
+        denom = g[1:] - g[:-1]
+        size = np.abs(g)
+        return denom, np.abs(denom), np.maximum(size[:-1], size[1:])
 
-    def step(k, n, denom, size, e0, e1):
-        ratio = aux[(k - 1, k)][n] / denom
-        for i in range(k + 1, k_max + 1):
-            gi = aux[(k - 1, i)]
-            aux[(k, i)][n] = gi[n] - ratio * (gi[n + 1] - gi[n])
+    def step(k, denom, size, e0, e1):
+        count = len(e0)
+        ratio = aux[k - 1, :count] / denom
+        g = aux[k:, :count + 1]
+        aux[k:, :count] = g[:, :-1] - ratio * (g[:, 1:] - g[:, :-1])
+        if e0.ndim == 2:
+            ratio = ratio[:, None]
         return e0 - ratio * (e1 - e0)
 
-    return _column_sweep(entries, base, ((_ADJACENT, gap, step),), keep_full,
+    return _column_sweep(column0, base, ((_ADJACENT, gap, step),), keep_full,
                          last_column=k_max)
 
 

@@ -381,8 +381,8 @@ def h_algorithm(window: SequenceWindow, basis, k_max: int,
     component with the scalar recursion run on each coordinate against the
     same auxiliaries.
     """
-    entries = list(window.rows(window.base_index, len(window)))
-    return _e_recursion(entries, window.base_index, basis, k_max, keep_full)
+    return _e_recursion(window.rows(window.base_index, len(window)),
+                        window.base_index, basis, k_max, keep_full)
 
 
 def vea(window: SequenceWindow, keep_full: bool = False) -> Tableau:
@@ -396,18 +396,25 @@ def vea(window: SequenceWindow, keep_full: bool = False) -> Tableau:
     if len(window) < 3:
         raise ValueError("need at least three terms")
     rows = window.rows(window.base_index, len(window))
-    return _column_sweep(list(rows), window.base_index,
-                         (_lozenge_rule(_norm, _vector_step),), keep_full,
-                         zero=np.zeros(rows.shape[1]))
+    # Column k >= 1 has at most len - 1 entries and is written into one slot
+    # of a block allocated once per call; it reads only columns k - 1 and
+    # k - 2, so an evicting table reuses column k - 3's slot.
+    slots = len(window) - 1 if keep_full else 3
+    block = np.empty((slots, len(window) - 1, rows.shape[1]))
+    rule = _lozenge_rule(_row_norms, _vector_step,
+                         lambda k, count: block[(k - 1) % slots, :count])
+    return _column_sweep(rows, window.base_index, (rule,), keep_full,
+                         lozenge=True)
 
 
-def _norm(vector: np.ndarray) -> float:
-    return float(np.linalg.norm(vector))
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """The norm of each row as sqrt(r @ r), the dot ``np.linalg.norm`` takes."""
+    return np.sqrt([r @ r for r in rows])
 
 
-def _vector_step(k, n, d, size, a, b, back):
-    """back + d / ||d||^2, in place: ``d`` is a fresh difference."""
-    d /= size * size
+def _vector_step(k, d, size, a, b, back):
+    """back + d / ||d||^2 row by row, in place: ``d`` is the column's slot."""
+    d /= (size * size)[:, None]
     d += back
     return d
 

@@ -50,3 +50,168 @@ def neville_polynomial_extrapolation(nodes, values):
         for i in range(n - k):
             p[i] = p[i] + x[i] * (p[i + 1] - p[i]) / (x[i] - x[i + k])
     return p[0]
+
+
+# -- per-entry tableau sweep -------------------------------------------------
+#
+# The tableau builders fill each column with whole-array operations.  The
+# functions below fill the same tables one entry at a time through the
+# public ``Tableau`` API, with each builder's formula written per entry, so
+# tests can require the two to agree bit for bit.
+
+#: Parents (k - dk, n + dn) of an entry (k, n), as (dk, dn).
+_ADJACENT = ((1, 0), (1, 1))
+_LOZENGE = ((1, 0), (1, 1), (2, 1))
+_THETA_EVEN = ((1, 0), (1, 1), (1, 2), (2, 1), (2, 2))
+
+
+def per_entry_sweep(entries, base, rules, keep_full, zero=None,
+                    last_column=None):
+    """Fill a Tableau entry by entry, in column order.
+
+    ``rules[k % len(rules)]`` is ``(parents, gap, step)``:
+    ``gap(k, n, *reads)`` gives (carry, denominator, scale) and
+    ``step(k, n, carry, denominator, *reads)`` the entry.  An entry that
+    reads a flagged one, or whose breakdown check fails, is flagged; the
+    table ends after its first column without a valid entry, or after
+    ``last_column``, and is then compacted.
+    """
+    from accelerant.core import Tableau, breakdown_check
+
+    table = Tableau(keep_full, "all" if zero is None else "even")
+    last = {0: base + len(entries) - 1}
+    if zero is not None:
+        last[-1] = base + len(entries)
+        for n in range(base, last[-1] + 1):
+            table.set_entry(-1, n, zero)
+    for i, entry in enumerate(entries):
+        table.set_entry(0, base + i, entry)
+    k = 1
+    while last_column is None or k <= last_column:
+        parents, gap, step = rules[k % len(rules)]
+        sources = [(table.column(k - dk), dn) for dk, dn in parents]
+        last[k] = min(last[k - dk] - dn for dk, dn in parents)
+        alive = False
+        for n in range(base, last[k] + 1):
+            try:
+                reads = [column[n + dn] for column, dn in sources]
+            except KeyError:  # flagged entries are not in column()
+                table.flag_breakdown(k, n)
+                continue
+            carry, denominator, scale = gap(k, n, *reads)
+            if breakdown_check(denominator, scale):
+                table.set_entry(k, n, step(k, n, carry, denominator, *reads))
+                alive = True
+            else:
+                table.flag_breakdown(k, n)
+        if not alive:
+            break
+        k += 1
+    table.compact()
+    return table
+
+
+def _lozenge(size, step):
+    def gap(k, n, a, b, back):
+        d = b - a
+        return d, size(d), max(size(a), size(b))
+
+    return _LOZENGE, gap, step
+
+
+def _inverse_step(k, n, d, size, a, b, back):
+    return back + 1.0 / d
+
+
+def _scalars(window):
+    return list(window.terms)
+
+
+def _vectors(window):
+    return [np.array(row) for row in window.rows(window.base_index,
+                                                 len(window))]
+
+
+def richardson_per_entry(window, nodes, keep_full=False):
+    x = {n: nodes.value(n) for n in range(window.base_index,
+                                          window.last_index + 1)}
+
+    def gap(k, n, a, b):
+        denom = x[n + k] - x[n]
+        return denom, abs(denom), max(abs(x[n]), abs(x[n + k]))
+
+    def step(k, n, denom, size, a, b):
+        return a - x[n] * (b - a) / denom
+
+    return per_entry_sweep(_scalars(window), window.base_index,
+                           ((_ADJACENT, gap, step),), keep_full)
+
+
+def epsilon_per_entry(window, keep_full=False):
+    return per_entry_sweep(_scalars(window), window.base_index,
+                           (_lozenge(abs, _inverse_step),), keep_full,
+                           zero=0.0)
+
+
+def rho_per_entry(window, nodes, keep_full=False):
+    x = {n: nodes.value(n) for n in range(window.base_index,
+                                          window.last_index + 1)}
+
+    def step(k, n, d, size, a, b, back):
+        return back + (x[n + k] - x[n]) / d
+
+    return per_entry_sweep(_scalars(window), window.base_index,
+                           (_lozenge(abs, step),), keep_full, zero=0.0)
+
+
+def theta_per_entry(window, keep_full=False):
+    def gap(k, n, o0, o1, o2, e1, e2):
+        denom = o2 - 2.0 * o1 + o0
+        return denom, abs(denom), max(abs(o2 - o1), abs(o1 - o0))
+
+    def step(k, n, denom, size, o0, o1, o2, e1, e2):
+        return e1 + (e2 - e1) * (o2 - o1) / denom
+
+    rules = ((_THETA_EVEN, gap, step), _lozenge(abs, _inverse_step))
+    return per_entry_sweep(_scalars(window), window.base_index, rules,
+                           keep_full, zero=0.0)
+
+
+def vea_per_entry(window, keep_full=False):
+    def norm(v):
+        return float(np.linalg.norm(v))
+
+    def step(k, n, d, size, a, b, back):
+        d /= size * size
+        d += back
+        return d
+
+    return per_entry_sweep(_vectors(window), window.base_index,
+                           (_lozenge(norm, step),), keep_full,
+                           zero=np.zeros(window.dimension))
+
+
+def e_recursion_per_entry(window, basis, k_max, keep_full=False):
+    """E (scalar windows) or H (vector windows), auxiliaries in a dict."""
+    base, length = window.base_index, len(window)
+    entries = _scalars(window) if window.is_scalar else _vectors(window)
+    aux = {(0, i): {base + j: basis.value(i, base + j) for j in range(length)}
+           for i in range(1, k_max + 1)}
+    for k in range(1, k_max + 1):
+        for i in range(k + 1, k_max + 1):
+            aux[(k, i)] = {}
+
+    def gap(k, n, e0, e1):
+        g = aux[(k - 1, k)]
+        denom = g[n + 1] - g[n]
+        return denom, abs(denom), max(abs(g[n]), abs(g[n + 1]))
+
+    def step(k, n, denom, size, e0, e1):
+        ratio = aux[(k - 1, k)][n] / denom
+        for i in range(k + 1, k_max + 1):
+            gi = aux[(k - 1, i)]
+            aux[(k, i)][n] = gi[n] - ratio * (gi[n + 1] - gi[n])
+        return e0 - ratio * (e1 - e0)
+
+    return per_entry_sweep(entries, base, ((_ADJACENT, gap, step),),
+                           keep_full, last_column=k_max)

@@ -159,6 +159,14 @@ class TestSolveCommand:
         assert out == ""
         assert path.read_text().startswith(CSV_HEADER)
 
+    def test_convergence_during_warmup_exits_zero(self, capsys):
+        code, out, _ = run_cli(capsys, ["solve", "--problem", "fredholm",
+                                        "--method", "mmpe"])
+        assert code == 0
+        fields = out.strip().splitlines()[1].split(",")
+        assert fields[5] == "0"  # no cycle ran: the warmup met the tolerance
+        assert float(fields[7]) <= 1e-8
+
     def test_unconverged_run_exits_three(self, capsys):
         code, out, _ = run_cli(capsys, ["solve", "--problem", "pde",
                                         "--grid", "20", "--method", "tea",
@@ -355,6 +363,12 @@ class TestBenchCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 4
         assert calls == [42]
+
+    def test_row_converged_during_warmup_exits_zero(self, capsys):
+        code, out, _ = run_cli(capsys, ["bench", "--problem", "fredholm",
+                                        "--methods", "mmpe"])
+        assert code == 0
+        assert out.strip().splitlines()[1].split(",")[4] == "warmup"
 
     def test_all_rows_failed_exits_three(self, capsys):
         code, out, _ = run_cli(capsys, ["bench", "--problem", "pde",

@@ -17,6 +17,18 @@ from accelerant.core import (
     push_term,
     read_sequence_file,
 )
+from accelerant.scalar import (
+    BasisFamily,
+    NodeSequence,
+    e_algorithm,
+    epsilon_scalar,
+    rho,
+    richardson_table,
+    theta,
+)
+from accelerant.vector import h_algorithm, vea
+
+import _oracles as oracles
 
 
 # -- push_term ---------------------------------------------------------------
@@ -308,6 +320,114 @@ def test_tableau_determinism_bit_identical():
     for k in t1.stored_columns():
         for n, v in t1.column(k).items():
             assert t2.get_entry(k, n) == v  # exact float equality
+
+
+# -- the column sweep against the per-entry reference ------------------------
+
+def _scalar_windows(rng, count):
+    """Random windows with ties, zero differences, signed zeros and extreme
+    scales, so every builder meets its breakdown paths."""
+    windows = []
+    for _ in range(count):
+        length = int(rng.integers(3, 21))
+        terms = rng.standard_normal(length) * 10.0 ** rng.uniform(-300, 300)
+        if rng.random() < 0.5:  # a convergent series' partial sums
+            terms = np.cumsum(terms * rng.uniform(-0.9, 0.9) ** np.arange(length))
+        for i in rng.integers(1, length, size=int(rng.integers(0, 3))):
+            terms[i] = terms[i - 1]
+        for i in rng.integers(0, length, size=int(rng.integers(0, 3))):
+            terms[i] = rng.choice([0.0, -0.0])
+        windows.append(SequenceWindow(terms.tolist(),
+                                      base_index=int(rng.integers(0, 5))))
+    windows.append(SequenceWindow([0.0, -0.0, 0.0, -0.0, 1.0, 1.0, -0.0]))
+    windows.append(SequenceWindow([2.5] * 7, base_index=2))
+    return windows
+
+
+def _vector_windows(rng, count):
+    windows = []
+    for _ in range(count):
+        length = int(rng.integers(3, 14))
+        rows = rng.standard_normal((length, int(rng.integers(1, 7))))
+        rows *= 10.0 ** rng.uniform(-100, 100)
+        for i in rng.integers(1, length, size=int(rng.integers(0, 3))):
+            rows[i] = rows[i - 1]  # a zero difference
+        for i in rng.integers(2, length, size=int(rng.integers(0, 2))):
+            rows[i] = rows[i - 2]  # a tie one column deeper
+        rows[rng.random(rows.shape) < 0.1] = -0.0
+        windows.append(SequenceWindow(rows, base_index=int(rng.integers(0, 5))))
+    windows.append(SequenceWindow(np.zeros((6, 3))))
+    return windows
+
+
+def _bits(table):
+    """Every stored entry (type and float.hex of each value), the stored
+    columns and the flagged positions."""
+    entries = {(k, n): (type(v).__name__,
+                        [float(x).hex() for x in np.atleast_1d(v)])
+               for k in table.stored_columns()
+               for n, v in table.column(k).items()}
+    return table.stored_columns(), entries, table.flagged_entries()
+
+
+def _bases(window, rng):
+    sums = [float(np.sum(t)) for t in window]
+    scale = max(map(abs, sums)) or 1.0  # powers of the terms stay finite
+    pilot = {window.base_index + j: v / scale for j, v in enumerate(sums)}
+    ratios = tuple(rng.uniform(-1.5, 1.5, size=4))
+    return (BasisFamily.geometric(ratios),
+            BasisFamily(lambda i, n: pilot[n] ** i))
+
+
+@pytest.mark.parametrize("keep_full", [True, False])
+def test_builders_match_the_per_entry_sweep_bit_for_bit(keep_full):
+    rng = np.random.default_rng(20261018)
+    scalars, vectors = _scalar_windows(rng, 150), _vector_windows(rng, 60)
+    for window in scalars:
+        count, base = len(window), window.base_index
+        increasing = NodeSequence(np.cumsum(rng.uniform(0.1, 2.0, count)),
+                                  base)
+        pairs = [(epsilon_scalar(window, keep_full),
+                  oracles.epsilon_per_entry(window, keep_full)),
+                 (rho(window, keep_full=keep_full),
+                  oracles.rho_per_entry(
+                      window, NodeSequence.standard(count, base), keep_full)),
+                 (rho(window, increasing, keep_full),
+                  oracles.rho_per_entry(window, increasing, keep_full))]
+        if count >= 4:
+            pairs.append((theta(window, keep_full),
+                          oracles.theta_per_entry(window, keep_full)))
+        for nodes in (NodeSequence.standard(count, base), increasing,
+                      NodeSequence(NodeSequence.step_halving(count).values,
+                                   base)):
+            pairs.append((richardson_table(window, nodes, keep_full),
+                          oracles.richardson_per_entry(window, nodes,
+                                                       keep_full)))
+        k_max = int(rng.integers(0, min(5, count)))
+        for basis in _bases(window, rng):
+            pairs.append((e_algorithm(window, basis, k_max, keep_full),
+                          oracles.e_recursion_per_entry(window, basis, k_max,
+                                                        keep_full)))
+        for got, expected in pairs:
+            assert _bits(got) == _bits(expected)
+    for window in vectors:
+        pairs = [(vea(window, keep_full),
+                  oracles.vea_per_entry(window, keep_full))]
+        k_max = int(rng.integers(0, min(5, len(window))))
+        for basis in _bases(window, rng):
+            pairs.append((h_algorithm(window, basis, k_max, keep_full),
+                          oracles.e_recursion_per_entry(window, basis, k_max,
+                                                        keep_full)))
+        for got, expected in pairs:
+            assert _bits(got) == _bits(expected)
+
+
+def test_the_random_windows_reach_every_breakdown_path():
+    rng = np.random.default_rng(20261018)  # the windows compared above
+    scalars, vectors = _scalar_windows(rng, 150), _vector_windows(rng, 60)
+    assert any(epsilon_scalar(w).flagged_entries() for w in scalars)
+    assert any(theta(w).flagged_entries() for w in scalars if len(w) >= 4)
+    assert any(vea(w).flagged_entries() for w in vectors)
 
 
 # -- sequence file format ----------------------------------------------------

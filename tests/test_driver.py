@@ -366,6 +366,16 @@ class TestConvergenceBehavior:
                 name, np.median(counts), picard_median)
 
 
+def _traced_peak(problem, config):
+    tracemalloc.start()
+    try:
+        report = run_cycles(problem, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return report, peak
+
+
 class TestCycleMemory:
     @pytest.mark.parametrize("method", ["sbeta", "h", "mmpe"])
     def test_canonical_projection_columns_stay_window_sized(self, method):
@@ -375,11 +385,19 @@ class TestCycleMemory:
         config = CycleConfig(method=method, width_m=width, tol=1e-300,
                              max_cycles=2)
         bound = 16 * problem.dimension * (width + 2) * 8
-        tracemalloc.start()
-        try:
-            report = run_cycles(problem, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = _traced_peak(problem, config)
+        assert report.cycles == 2
+        assert peak <= bound, (peak, bound)
+
+    @pytest.mark.parametrize("width", [5, 10, 20])
+    def test_vea_memory_grows_linearly_with_the_window(self, width):
+        """vea's table keeps three columns of its 2m + 1 term window, so a
+        cycle costs a fixed multiple of (2m + 2) N doubles; keeping every
+        column would grow with m squared (44 MB at m = 20)."""
+        problem = reaction_diffusion(80)
+        config = CycleConfig(method="vea", width_m=width, tol=1e-300,
+                             max_cycles=2)
+        bound = 6 * (2 * width + 2) * problem.dimension * 8
+        report, peak = _traced_peak(problem, config)
         assert report.cycles == 2
         assert peak <= bound, (peak, bound)

@@ -158,12 +158,21 @@ class TestReactionDiffusion:
             direct = laplacian_apply(u, p_grid, spacing)
             assert np.allclose(direct, matrix @ u, rtol=1e-12, atol=1e-9)
 
-    @pytest.mark.parametrize("p_grid", [3, 4, 7, 20])
+    @pytest.mark.parametrize("p_grid", [3, 4, 7, 20, 80])
     def test_applicator_matches_the_padded_formula_bit_for_bit(self, p_grid):
         spacing = 1.0 / (p_grid + 1)
         rng = np.random.default_rng(p_grid)
-        for scale in (1e-300, 1.0, 1e200):
-            u = scale * rng.standard_normal(p_grid * p_grid)
+        size = p_grid * p_grid
+        inputs = [scale * rng.standard_normal(size)
+                  for scale in (1e-300, 1.0, 1e100, 1e200)]
+        inputs.append(-np.abs(rng.standard_normal(size)))
+        # signed zeros: everywhere, and scattered among other values
+        inputs.append(rng.choice([0.0, -0.0], size=size))
+        mixed = rng.standard_normal(size)
+        mixed[rng.random(size) < 0.3] = 0.0
+        mixed[rng.random(size) < 0.3] = -0.0
+        inputs.append(mixed)
+        for u in inputs:
             g = u.reshape(p_grid, p_grid)
             padded = np.pad(g, 1)
             oracle = (4.0 * g
@@ -171,7 +180,13 @@ class TestReactionDiffusion:
                       - padded[1:-1, :-2] - padded[1:-1, 2:]) \
                 / (spacing * spacing)
             got = laplacian_apply(u, p_grid, spacing)
-            assert got.tobytes() == oracle.ravel().tobytes()
+            assert [x.hex() for x in got.tolist()] \
+                == [x.hex() for x in oracle.ravel().tolist()]
+
+    @pytest.mark.parametrize("length", [0, 15, 17, 32])
+    def test_applicator_rejects_a_wrong_length(self, length):
+        with pytest.raises(ValueError):
+            laplacian_apply(np.ones(length), 4, 0.2)
 
     def test_interleaved_maps_match_maps_run_one_at_a_time(self):
         first, second = reaction_diffusion(5), reaction_diffusion(7)
