@@ -5,9 +5,9 @@ is built on the three primitives in this module:
 
 * :class:`SequenceWindow` — an immutable, contiguous buffer of scalar or
   vector terms with forward-difference access;
-* :class:`Tableau` — two-column rolling storage for the triangular
-  tables (Richardson, epsilon, rho, theta, vea, E, H) with per-entry
-  breakdown flags;
+* :class:`Tableau` — rolling storage for the triangular tables
+  (Richardson, epsilon, rho, theta, vea, E, H), each column one array
+  with a mask of the rows it holds, and per-entry breakdown flags;
 * :func:`breakdown_check` — the single shared rule deciding when a
   denominator is too small to divide by.
 
@@ -16,9 +16,10 @@ epsilon, rho, theta, vea and the E/H recursions each supply only their
 entry formula, written over whole columns, and the parents it reads.
 The sweep computes each column as array operations over all of its
 entries, masks the entries that read a flagged parent or fail the
-breakdown check, and alone decides how a breakdown spreads and where a
-table ends.  The diagonal form of the lozenge update is the command
-line's streaming kernel.
+breakdown check, hands the column and its mask to the table as they are,
+and alone decides how a breakdown spreads and where a table ends.  The
+diagonal form of the lozenge update is the command line's streaming
+kernel.
 
 All arithmetic is plain 64-bit binary floating point.
 """
@@ -260,19 +261,21 @@ def forward_difference(window: SequenceWindow, order: int, index: int) -> Term:
 
 
 class Tableau:
-    """Rolling two-column storage for triangular recursion tables.
+    """Rolling storage for triangular recursion tables, one array per column.
 
     Entries are indexed ``(k, n)`` with ``k`` the column (transformation
-    order) and ``n`` the shift.  By default only the two most recent
-    columns are retained: starting column k evicts the columns no
-    recursion writing it can still read, those up to k - 3, and
-    ``compact`` keeps the last two; ``keep_full=True`` disables eviction
-    for debugging and oracle tests.  :meth:`set_entry` stores one entry,
-    which requires parents ``(k-1, n)`` and ``(k-1, n+1)``, stored or
-    flagged, unless ``k`` is -1 or 0, so tables fill column by column.
-    The column sweep stores a whole column, with its flags, in one step.
-    Scalar entries are Python floats; vector entries are rows, which a
-    table may share with the arrays it was built from.
+    order) and ``n`` the shift.  Column k is ``(start, values, held)``:
+    ``values[i]``, entry (k, start + i), is a float (1-D) or a row (2-D)
+    that a table may share with the arrays it was built from, and the mask
+    ``held`` marks the rows that hold a value (``None``: all do).  Scalar
+    reads give Python floats.  Flagged positions outlive their column.  By
+    default only the two most recent columns are retained: starting column
+    k evicts the columns no recursion writing it can still read, those up
+    to k - 3, and ``compact`` keeps the last two; ``keep_full=True``
+    disables eviction for debugging and oracle tests.  :meth:`set_entry`
+    stores one entry, which requires parents ``(k-1, n)`` and
+    ``(k-1, n+1)``, stored or flagged, unless ``k`` is -1 or 0, so tables
+    fill column by column; the column sweep stores whole columns.
 
     ``estimate_parity`` marks which columns hold genuine limit estimates:
     ``"even"`` for epsilon-type tables whose odd columns are auxiliary,
@@ -284,15 +287,20 @@ class Tableau:
             raise ValueError("estimate_parity must be 'all' or 'even'")
         self.keep_full = bool(keep_full)
         self.estimate_parity = estimate_parity
-        self._columns: dict[int, dict[int, Term]] = {}
+        self._columns: dict[int, tuple[int, np.ndarray, np.ndarray | None]] = {}
         self._flags: set[tuple[int, int]] = set()
 
     # -- structural queries -------------------------------------------------
 
+    def _row(self, k: int, n: int) -> int | None:
+        """The row of column k's values that holds entry (k, n), or None."""
+        start, values, held = self._columns.get(k, (n, (), None))
+        i = n - start
+        return i if 0 <= i < len(values) and (held is None or held[i]) else None
+
     def has_entry(self, k: int, n: int) -> bool:
         """True when entry (k, n) is stored (evicted or flagged entries: False)."""
-        return k in self._columns and n in self._columns[k] \
-            and (k, n) not in self._flags
+        return (k, n) not in self._flags and self._row(k, n) is not None
 
     def is_flagged(self, k: int, n: int) -> bool:
         return (k, n) in self._flags
@@ -301,58 +309,46 @@ class Tableau:
         return sorted(self._columns)
 
     def column(self, k: int) -> dict[int, Term]:
-        """Stored entries of column k as {n: value}, excluding flagged ones."""
-        col = self._columns.get(k, {})
-        return {n: v for n, v in col.items() if (k, n) not in self._flags}
+        """Stored entries of column k as {n: value}, ascending n, excluding
+        flagged ones."""
+        return dict(self._entries(k))
+
+    def _entries(self, k: int):
+        """Column k's stored, unflagged entries as (n, value), ascending n."""
+        start, values, held = self._columns.get(k, (0, np.empty(0), None))
+        for i, value in enumerate(values.tolist() if values.ndim == 1
+                                  else values):
+            if (held is None or held[i]) and (k, start + i) not in self._flags:
+                yield start + i, value
 
     # -- mutation -----------------------------------------------------------
 
     def set_entry(self, k: int, n: int, value: Term) -> None:
+        if k not in (-1, 0) and any(self._row(k - 1, p) is None
+                                    and (k - 1, p) not in self._flags
+                                    for p in (n, n + 1)):
+            raise ValueError(f"entry ({k}, {n}) requires parents "
+                             f"({k - 1}, {n}) and ({k - 1}, {n + 1})")
+        value = np.asarray(value, dtype=np.float64)
+        start, values, held = self._columns.get(
+            k, (n, np.empty((0,) + value.shape), None))
+        lo = min(start, n)
+        rows = slice(start - lo, start - lo + len(values))
+        grown = np.empty((max(rows.stop, n - lo + 1),) + value.shape)
+        mask = np.zeros(len(grown), dtype=bool)
+        grown[rows], mask[rows] = values, True if held is None else held
+        grown[n - lo], mask[n - lo] = value, True
+        self._store(k, lo, grown, None if mask.all() else mask)
+
+    def _store(self, k: int, start: int, values: np.ndarray,
+               held: np.ndarray | None) -> None:
+        """Make ``values`` column k from index ``start``, ``held`` masking the
+        rows that hold a value; a new column evicts as documented."""
         columns = self._columns
-        if k not in (-1, 0):
-            parents, flags = columns.get(k - 1, ()), self._flags
-            if not ((n in parents or (k - 1, n) in flags)
-                    and (n + 1 in parents or (k - 1, n + 1) in flags)):
-                raise ValueError(
-                    f"entry ({k}, {n}) requires parents ({k - 1}, {n}) "
-                    f"and ({k - 1}, {n + 1})")
-        self._open_column(k)[n] = value
-
-    def _open_column(self, k: int) -> dict[int, Term]:
-        """Column k's storage, created on first use, evicting as documented."""
-        columns = self._columns
-        column = columns.get(k)
-        if column is None:
-            column = columns[k] = {}
-            if not self.keep_full:
-                for old in [c for c in columns if c <= k - 3]:
-                    del columns[old]
-        return column
-
-    def _set_column(self, k: int, start: int, values: np.ndarray,
-                    valid: np.ndarray | None = None) -> int:
-        """Store column k in one step: ``values[i]`` at n = start + i.
-
-        ``values`` is 1-D (stored as Python floats) or 2-D (its rows are
-        stored); entries where ``valid`` is False are flagged instead, and
-        ``valid=None`` means all are valid.  The column is created, as by
-        :meth:`set_entry`, only if one entry is valid.  Parents are not
-        checked: the column sweep is the caller.  Returns how many entries
-        were stored.
-        """
-        entries = values.tolist() if values.ndim == 1 else list(values)
-        if valid is None:
-            stored = dict(zip(range(start, start + len(entries)), entries))
-        else:
-            ok = valid.tolist()
-            stored = {start + i: entry for i, entry in enumerate(entries)
-                      if ok[i]}
-            if len(stored) < len(ok):
-                self._flags.update((k, start + i)
-                                   for i, good in enumerate(ok) if not good)
-        if stored:
-            self._open_column(k).update(stored)
-        return len(stored)
+        if k not in columns and not self.keep_full:
+            for old in [c for c in columns if c <= k - 3]:
+                del columns[old]
+        columns[k] = (start, values, held)
 
     def flag_breakdown(self, k: int, n: int) -> None:
         """Mark entry (k, n) as broken; reads of it raise from then on."""
@@ -373,36 +369,31 @@ class Tableau:
             raise BreakdownError(
                 f"tableau entry ({k}, {n}) is invalid after a breakdown",
                 order_k=k, index_n=n)
-        try:
-            return self._columns[k][n]
-        except KeyError:
-            raise KeyError(f"tableau entry ({k}, {n}) is not stored") from None
+        i = self._row(k, n)
+        if i is None:
+            raise KeyError(f"tableau entry ({k}, {n}) is not stored")
+        values = self._columns[k][1]
+        return float(values[i]) if values.ndim == 1 else values[i]
 
     def flagged_entries(self) -> list[tuple[int, int]]:
         """Positions (k, n) invalidated by breakdowns, sorted by column."""
         return sorted(self._flags)
 
+    def _estimate_columns(self) -> list[int]:
+        return [k for k in self.stored_columns() if k >= 0 and (
+            self.estimate_parity == "all" or k % 2 == 0)]
+
     def estimates(self) -> list[Estimate]:
         """All stored entries in estimate-carrying columns, shallowest first."""
-        out = []
-        for k in self.stored_columns():
-            if k < 0 or (self.estimate_parity == "even" and k % 2 != 0):
-                continue
-            for n in sorted(self._columns[k]):
-                if (k, n) not in self._flags:
-                    out.append(Estimate(self._columns[k][n], order_k=k,
-                                        pilot_index_n=n))
-        return out
+        return [Estimate(value, order_k=k, pilot_index_n=n)
+                for k in self._estimate_columns()
+                for n, value in self._entries(k)]
 
     def best_estimate(self) -> Estimate:
         """The deepest stored valid estimate (highest column, smallest n)."""
-        for k in reversed(self.stored_columns()):
-            if k < 0 or (self.estimate_parity == "even" and k % 2 != 0):
-                continue
-            for n in sorted(self._columns[k]):
-                if (k, n) not in self._flags:
-                    return Estimate(self._columns[k][n], order_k=k,
-                                    pilot_index_n=n)
+        for k in reversed(self._estimate_columns()):
+            for n, value in self._entries(k):
+                return Estimate(value, order_k=k, pilot_index_n=n)
         raise BreakdownError("tableau holds no valid estimate")
 
 
@@ -429,38 +420,42 @@ def _column_sweep(column0: np.ndarray, base: int, rules, keep_full: bool,
 
     This is the one place that decides how a breakdown spreads: an entry
     that reads a flagged one, or whose check fails, is flagged, and reading
-    it raises :class:`BreakdownError`.  The rules also compute the flagged
-    rows, whose values are never stored, so floating-point warnings are
-    silenced here.  Column k covers every n whose parents exist; the table
-    ends with its first column that holds no valid entry, or after
-    ``last_column``, and is then compacted.
+    it raises :class:`BreakdownError`.  Each column goes to the table as
+    the rule computed it, with its validity as the column's ``held`` mask,
+    and the next column reads its parents back from the table.  The rules
+    also compute the flagged rows, whose values are never read, so
+    floating-point warnings are silenced here.  Column k covers every n
+    whose parents exist; the table ends with its first column that holds
+    no valid entry, or after ``last_column``, and is then compacted.
     """
     table = Tableau(keep_full, "even" if lozenge else "all")
-    columns = {0: column0}
-    valid = {-1: None, 0: None}  # validity masks; None: no entry flagged
     if lozenge:
         shape = (len(column0) + 1,) + column0.shape[1:]
-        columns[-1] = np.broadcast_to(np.zeros(column0.shape[1:]), shape)
-        table._set_column(-1, base, columns[-1])
-    table._set_column(0, base, column0)
+        table._store(-1, base, np.broadcast_to(np.zeros(column0.shape[1:]),
+                                               shape), None)
+    table._store(0, base, column0, None)
+    columns = table._columns  # every column starts at base
     k = 1
     with np.errstate(all="ignore"):
         while last_column is None or k <= last_column:
             parents, gap, step = rules[k % len(rules)]
-            count = min(len(columns[k - dk]) - dn for dk, dn in parents)
+            count = min(len(columns[k - dk][1]) - dn for dk, dn in parents)
             if count <= 0:
                 break
-            reads = [columns[k - dk][dn:dn + count] for dk, dn in parents]
+            reads = [columns[k - dk][1][dn:dn + count] for dk, dn in parents]
             carry, size, scale = gap(k, *reads)
             ok = _passes(size, scale)
             for dk, dn in parents:
-                if valid[k - dk] is not None:
-                    ok &= valid[k - dk][dn:dn + count]
-            columns[k] = step(k, carry, size, *reads)
-            stored = table._set_column(k, base, columns[k], ok)
-            if not stored:
+                held = columns[k - dk][2]
+                if held is not None:
+                    ok &= held[dn:dn + count]
+            values = step(k, carry, size, *reads)
+            flagged = np.flatnonzero(~ok).tolist()
+            for i in flagged:
+                table.flag_breakdown(k, base + i)
+            if len(flagged) == count:
                 break
-            valid[k] = None if stored == count else ok
+            table._store(k, base, values, ok if flagged else None)
             k += 1
     table.compact()
     return table

@@ -224,13 +224,14 @@ def vpe_extrapolate(window: SequenceWindow, method: VpeMethod, k: int,
     n = window.base_index if index is None else index
     if k < 0:
         raise ValueError("order k must be nonnegative")
+    s_rows, d1_rows, d2_rows = _difference_rows(window, n, k + 2)
+    if method.kind == "mmpe":
+        basis = _mmpe_basis(method.test_vectors, s_rows.shape[1], k)
     if k == 0:
-        s_rows = window.rows(n, 2)
-        ds0 = s_rows[1] - s_rows[0]
+        ds0 = d1_rows[0]
         return VpeResult(value=s_rows[0], gamma=np.ones(1), residual=ds0,
                          order_k=0, pilot_index_n=n,
                          diagnostics={"residual_norm": float(np.linalg.norm(ds0))})
-    s_rows, d1_rows, d2_rows = _difference_rows(window, n, k + 2)
     s0 = s_rows[0]
     # the matrix products and ds0's dot products round by operand layout:
     # they get N x (k+1) and N x k C-order copies; least_squares takes the
@@ -258,7 +259,6 @@ def vpe_extrapolate(window: SequenceWindow, method: VpeMethod, k: int,
         if fit.rank_deficient:
             extras["rank_deficient"] = 1.0
     else:
-        basis = _mmpe_basis(method.test_vectors, len(s0), k)
         try:
             a = lu_solve(basis.T @ d2, -(basis.T @ ds0))
         except RankDeficiencyError as exc:
@@ -340,6 +340,8 @@ def sbeta(window: SequenceWindow, test_vectors: Sequence,
     if count < k + 2:
         raise ValueError(f"need at least {k + 2} terms from index {n0} for depth {k}")
     s_rows = window.rows(n0, count)
+    if any(len(y) != s_rows.shape[1] for y in ys):
+        raise ValueError("test vector dimension does not match the sequence")
     s_level = list(s_rows)
     b_level = list(s_rows[1:] - s_rows[:-1])
     last_ratio = 0.0
@@ -438,13 +440,12 @@ def tea(window: SequenceWindow, weight, k: int,
     n = window.base_index if index is None else index
     if k < 0:
         raise ValueError("order k must be nonnegative")
-    if k == 0:
-        value = window.rows(n, 1)[0]
-        return Estimate(value=_frozen_array(value, "value", 1), order_k=0,
-                        pilot_index_n=n)
     s_rows, d1_rows, d2_rows = _difference_rows(window, n, 2 * k + 1)
     if s_rows.shape[1] != len(y):
         raise ValueError("dual vector dimension does not match the sequence")
+    if k == 0:
+        return Estimate(value=_frozen_array(s_rows[0], "value", 1), order_k=0,
+                        pilot_index_n=n)
     d1, d2 = d1_rows.T.copy(), d2_rows.T.copy()
     pair2 = y @ d2                       # (y, d2s_{n+j}) for j = 0..2k-2
     t_matrix = np.array([[pair2[i + j] for i in range(k)] for j in range(k)])
@@ -504,28 +505,26 @@ def stea(window: SequenceWindow, weight, k: int, variant: int,
 
     def even_entry(level: int, n: int) -> float:
         try:
-            return float(scalar_table.get_entry(2 * level, n))
+            return scalar_table.get_entry(2 * level, n)
         except KeyError as exc:
             raise BreakdownError(
                 f"scalar companion entry ({2 * level}, {n}) unavailable",
                 order_k=2 * level, index_n=n) from exc
 
-    current = {n0 + j: s_rows[j] for j in range(2 * k + 1)}
+    # level l lifts e_{2l} and the vectors v_{2l} over n0 .. n0 + c + 1 to
+    # level l + 1 over n0 .. n0 + c - 1; only the targets e_{2l+2} can be
+    # missing, since every other read is column 0 or an earlier target
+    e, current = pairings.rows(n0, 2 * k + 1)[:, 0], s_rows
     for level in range(k):
-        nxt: dict[int, np.ndarray] = {}
-        for n in range(n0, n0 + 2 * (k - level) - 1):
-            target = even_entry(level + 1, n)
-            if variant == 1:
-                anchor, lo, hi = even_entry(level, n + 1), n, n + 1
-            else:
-                anchor, lo, hi = even_entry(level, n + 1), n + 1, n + 2
-            # no check needed: building e_{2 level + 1}, which ``target``
-            # reads, ran the same breakdown check on this same spread
-            spread = even_entry(level, hi) - even_entry(level, lo)
-            ratio = (target - anchor) / spread
-            nxt[n] = current[n + 1] + ratio * (current[hi] - current[lo])
-        current = nxt
-    return Estimate(value=_frozen_array(current[n0], "value", 1), order_k=k,
+        c = 2 * (k - level) - 1
+        target = np.array([even_entry(level + 1, n0 + j) for j in range(c)])
+        lo, hi = slice(variant - 1, variant - 1 + c), slice(variant, variant + c)
+        # no check needed: building e_{2 level + 1}, which ``target``
+        # reads, ran the same breakdown check on this same spread
+        ratio = (target - e[1:c + 1]) / (e[hi] - e[lo])
+        current = current[1:c + 1] + ratio[:, None] * (current[hi] - current[lo])
+        e = target
+    return Estimate(value=_frozen_array(current[0], "value", 1), order_k=k,
                     pilot_index_n=n0, diagnostics={"variant": float(variant)})
 
 

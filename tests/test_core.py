@@ -29,6 +29,7 @@ from accelerant.scalar import (
 from accelerant.vector import h_algorithm, vea
 
 import _oracles as oracles
+import test_golden as golden
 
 
 # -- push_term ---------------------------------------------------------------
@@ -320,6 +321,39 @@ def test_tableau_determinism_bit_identical():
     for k in t1.stored_columns():
         for n, v in t1.column(k).items():
             assert t2.get_entry(k, n) == v  # exact float equality
+
+
+def test_out_of_order_writes_leave_a_hole():
+    t = Tableau(keep_full=True)
+    t.set_entry(0, 2, 3.0)
+    t.set_entry(0, 0, 1.0)
+    t.flag_breakdown(0, 1)
+    column = t.column(0)
+    assert list(column.items()) == [(0, 1.0), (2, 3.0)]  # ascending n
+    assert all(type(v) is float for v in column.values())
+    with pytest.raises(BreakdownError):
+        t.get_entry(0, 1)
+    with pytest.raises(KeyError):
+        t.get_entry(0, 3)
+
+
+def test_flags_outlive_eviction():
+    # a rolling table drops old columns but must report every breakdown,
+    # as perfbench and the command line read them from rolling tables
+    flagged = 0
+    for key, call in golden.builders():
+        full = call(True).flagged_entries()
+        assert call(False).flagged_entries() == full, key
+        flagged += bool(full)
+    assert flagged
+
+
+def test_vea_column_0_shares_the_window_rows():
+    window = SequenceWindow(np.arange(12.0).reshape(4, 3) ** 2, base_index=2)
+    table = vea(window, keep_full=True)
+    rows = window.rows(2, 4)
+    for n in range(2, 6):
+        assert np.shares_memory(table.get_entry(0, n), rows)
 
 
 # -- the column sweep against the per-entry reference ------------------------

@@ -86,9 +86,9 @@ def _evicting(table) -> dict:
             "entries": _table(table)["entries"]}
 
 
-def record() -> dict:
-    """Every recorded output, keyed ``function/window[/basis or nodes]``."""
-    out = {}
+def builders():
+    """``(key, call)`` for every recorded table, keyed
+    ``function/window[/basis or nodes]``; ``call(keep_full)`` builds it."""
     for name, window in windows().items():
         calls = {"vea": lambda full, w=window: vea(w, keep_full=full)}
         if window.is_scalar:
@@ -111,10 +111,15 @@ def record() -> dict:
                     e_algorithm(w, b, k_max, keep_full=full)
         for label, call in calls.items():
             function, _, variant = label.partition("/")
-            key = "/".join(filter(None, (function, name, variant)))
-            entry = _table(call(True))
-            entry["evicting"] = _evicting(call(False))
-            out[key] = entry
+            yield "/".join(filter(None, (function, name, variant))), call
+
+
+def record() -> dict:
+    """Every recorded output, keyed as by :func:`builders`."""
+    out = {}
+    for key, call in builders():
+        out[key] = _table(call(True))
+        out[key]["evicting"] = _evicting(call(False))
     return out
 
 

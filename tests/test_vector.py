@@ -746,6 +746,21 @@ class TestResidualAngles:
 
 # One input per path of the one-shot transforms that raise on breakdown:
 # call, message, order_k, index_n, denominator, scale.
+@pytest.mark.parametrize("call, message", [
+    (lambda w: tea(w, [1.0, 0.0], 0),
+     "dual vector dimension does not match the sequence"),
+    (lambda w: vpe_extrapolate(w, VpeMethod.mmpe(np.ones((2, 1))), 0),
+     r"test_vectors must be 3 x >= 0, got \(2, 1\)"),
+    (lambda w: sbeta(w, [[1.0, 0.0]]),
+     "test vector dimension does not match the sequence"),
+], ids=["tea_order_0", "vpe_mmpe_order_0", "sbeta"])
+def test_test_vectors_of_the_wrong_dimension_are_rejected(call, message):
+    # order 0 returns the pilot term, but only after the dimension check
+    window = SequenceWindow(np.arange(18.0).reshape(6, 3) ** 2)
+    with pytest.raises(ValueError, match=message):
+        call(window)
+
+
 ONE_SHOT_BREAKDOWNS = {
     "aitken_step": (
         lambda: aitken_step(1.0, 2.0, 3.0),
