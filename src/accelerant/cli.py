@@ -84,9 +84,10 @@ BENCH_HEADER = "method,iterations,final_residual,seconds,status"
 
 _DEFAULT_N = {"linear": 100, "fredholm": 500, "pagerank": 5000}
 
-# Projection with a fixed test basis needs seeded random test vectors (with
-# canonical columns a cycle on an affine map returns its own start) and
-# twenty smoothing steps per cycle to converge on the stiffest benchmark.
+# Projection with a fixed test basis gets seeded random test vectors and
+# twenty smoothing steps per cycle: without the steps a cycle on an affine
+# map returns its own start and the run stops ``stalled``, and the stiffest
+# benchmark needs them to converge.
 _TEST_BASIS_METHODS = ("mmpe", "sbeta", "h")
 _TEST_BASIS_WARMUP = 20
 

@@ -57,6 +57,12 @@ LOZENGE_METHODS = ("vea", "tea", "stea1", "stea2")
 METHOD_NAMES = PROJECTION_METHODS + LOZENGE_METHODS + ("anderson",)
 
 DIVERGENCE_FACTOR = 1e12
+# A window cycle is a deterministic function of the point it starts from,
+# so one that hands the next cycle its own start, to within this relative
+# distance, repeats forever: with fixed test vectors on an affine map the
+# MMPE-family point t satisfies Y^T (G(t) - t) = 0 and the next cycle
+# returns t again.
+STALL_TOL = 1e-13
 CSV_HEADER = "method,N,p,m,tol,cycles,iterations,final_residual,seconds"
 
 
@@ -160,7 +166,10 @@ class RunReport:
 
     ``residual_history`` holds the relative residual that opened each
     completed cycle; ``final_residual`` is the relative residual measured
-    at the stop check that ended the run.
+    at the stop check that ended the run.  ``reason`` names that stop:
+    ``converged``, ``warmup`` (converged before the first cycle, during
+    the one-time warmup), ``stalled`` (a window cycle returned its own
+    start) or ``max_cycles``.
     """
 
     method: str
@@ -249,12 +258,19 @@ def _extrapolate(config: CycleConfig, seq: np.ndarray,
 def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
     """Run restarted acceleration cycles until the stop check passes.
 
-    Stops when the residual norm relative to the starting residual drops
-    to ``config.tol``, or after ``config.max_cycles`` cycles.  A transform
-    breakdown inside a cycle falls back to the window's last plain iterate
-    for that cycle (counted in ``fallback_cycles``); a residual exceeding
-    ``DIVERGENCE_FACTOR`` times the starting residual raises
-    DivergenceError.
+    Every stop check maps the current point, then tests in this order:
+    a residual exceeding ``DIVERGENCE_FACTOR`` times the starting residual
+    raises DivergenceError, as does a nonfinite map value at any
+    evaluation; a residual relative to the starting residual within
+    ``config.tol`` stops with reason ``converged`` (``warmup`` when no
+    cycle ran and the warmup did the work); a window cycle whose next
+    start lies within ``STALL_TOL`` of its own start, relative to that
+    start's norm, stops with reason ``stalled``, since every later cycle
+    would repeat it (anderson, whose step depends on its history, is
+    never checked); and after ``config.max_cycles`` cycles the run stops
+    with reason ``max_cycles``.  A transform breakdown inside a cycle
+    falls back to the window's last plain iterate for that cycle (counted
+    in ``fallback_cycles``).
     """
     start_time = time.perf_counter()
     dimension = problem.dimension
@@ -307,6 +323,7 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
     history: list[float] = []
     fallbacks = 0
     cycles = 0
+    stalled = False
     while True:
         res = float(np.linalg.norm(g_current - current))
         rel = res / reference
@@ -317,6 +334,8 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
             reason = "warmup" if cycles == 0 and config.warmup_p > 0 \
                 else "converged"
             return report(cycles, rel, history, reason, fallbacks)
+        if stalled:
+            return report(cycles, rel, history, "stalled", fallbacks)
         if cycles >= config.max_cycles:
             return report(cycles, rel, history, "max_cycles", fallbacks)
         history.append(rel)
@@ -335,7 +354,10 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
                 fallbacks += 1
             current = np.array(value, dtype=float)
             del value  # a vea value is a view of its table's block
+            if rewarm_each_cycle:
+                current = warmup(current)
+            # the next window starts from current, after any rerun warmup
+            stalled = float(np.linalg.norm(current - seq[0])) \
+                <= STALL_TOL * float(np.linalg.norm(seq[0]))
         cycles += 1
-        if rewarm_each_cycle:
-            current = warmup(current)
         g_current = apply_map(current)

@@ -288,8 +288,11 @@ def vpe_oracle(window: SequenceWindow, method: VpeMethod, k: int,
     n = window.base_index if index is None else index
     if k < 0 or k > 6:
         raise ValueError("oracle orders are limited to 0 <= k <= 6")
+    pilot = window.rows(n, 1)[0]
+    if method.kind == "mmpe":
+        basis = _mmpe_basis(method.test_vectors, pilot.shape[0], k)
     if k == 0:
-        return window.rows(n, 1)[0].copy()
+        return pilot.copy()
     s_rows, d1_rows, d2_rows = _difference_rows(window, n, k + 2)
     d1, d2 = d1_rows.T.copy(), d2_rows.T.copy()
     if method.kind == "mpe":
@@ -297,7 +300,6 @@ def vpe_oracle(window: SequenceWindow, method: VpeMethod, k: int,
     elif method.kind == "rre":
         rows = [d2[:, i] for i in range(k)]
     else:
-        basis = _mmpe_basis(method.test_vectors, s_rows.shape[1], k)
         rows = [basis[:, i] for i in range(k)]
     alpha = np.array([[row @ d1[:, j] for j in range(k + 1)] for row in rows])
 
@@ -410,8 +412,9 @@ def vea(window: SequenceWindow, keep_full: bool = False) -> Tableau:
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """The norm of each row as sqrt(r @ r), the dot ``np.linalg.norm`` takes."""
-    return np.sqrt([r @ r for r in rows])
+    """The norm of each row as sqrt(r @ r), the dot ``np.linalg.norm`` takes
+    (``np.vecdot`` runs the same dot per row)."""
+    return np.sqrt(np.vecdot(rows, rows))
 
 
 def _vector_step(k, d, size, a, b, back):

@@ -379,6 +379,21 @@ class TestBenchCommand:
         row = out.strip().splitlines()[1]
         assert row.split(",")[4] != "converged"
 
+    def test_stalled_rows_exit_three(self, capsys):
+        # seeded fixed test vectors and no warmup on an affine map: each
+        # run's second cycle returns its own start
+        code, out, _ = run_cli(capsys, ["bench", "--problem", "linear",
+                                        "--methods", "sbeta,h,mmpe",
+                                        "--p", "0", "--max-cycles", "200"])
+        assert code == 3
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [(row[1], row[4]) for row in rows] == [("15", "stalled")] * 3
+        code, out, _ = run_cli(capsys, ["solve", "--problem", "linear",
+                                        "--method", "mmpe", "--p", "0",
+                                        "--max-cycles", "200"])
+        assert code == 3
+        assert out.splitlines()[0] == CSV_HEADER
+
 
 class TestComponentwiseEpsilon:
     def test_every_step_matches_scalar_epsilon_per_component(self):

@@ -290,6 +290,48 @@ class TestRunCycles:
         assert float(fields[8]) >= 0.0
 
 
+class TestStallStop:
+    @pytest.mark.parametrize("method", ["sbeta", "h", "mmpe"])
+    def test_fixed_test_vectors_stall_on_an_affine_map(self, method):
+        # canonical test vectors Y and no warmup: a cycle's point t has
+        # Y^T (G(t) - t) = 0, so the next cycle returns t again
+        problem, _, _ = affine_problem(11, 30, radius=0.9)
+        wrapped, counter = counted_problem(problem)
+        config = CycleConfig(method=method, width_m=4, tol=1e-12,
+                             max_cycles=200)
+        report = run_cycles(wrapped, config)
+        assert report.reason == "stalled"
+        assert report.cycles <= 5
+        assert len(report.residual_history) == report.cycles
+        expected = (report.cycles + 1) + report.cycles * config.inner_terms
+        assert report.iterations == counter["evals"] == expected
+        # the run stops at the residual it is stuck at, far above tol
+        assert report.final_residual == pytest.approx(
+            report.residual_history[-1], rel=1e-9)
+        assert report.final_residual > 1e-3
+
+    def test_a_moving_run_does_not_stall(self):
+        report = run_cycles(reaction_diffusion(20),
+                            CycleConfig(method="rre", width_m=5, tol=1e-8))
+        assert report.reason == "converged"
+        assert report.cycles > 1
+
+    def test_anderson_is_never_checked(self):
+        # damped steps of relative size ~1e-14 would read as a stall for a
+        # window method; anderson's step depends on its history, not on
+        # the current point alone, so it runs to its budget
+        problem, _, _ = affine_problem(11, 30, radius=0.9)
+        config = CycleConfig(method="anderson", depth=0, damping=1e-14,
+                             max_cycles=5)
+        report = run_cycles(problem, config)
+        assert report.reason == "max_cycles"
+        assert report.cycles == 5
+        # and it converges on the map where the fixed-Y methods stall
+        report = run_cycles(problem, CycleConfig(
+            method="anderson", width_m=4, tol=1e-12, max_cycles=200))
+        assert report.reason == "converged"
+
+
 class TestConvergenceBehavior:
     def test_complete_cycles_converge_quadratically(self):
         # smooth nonlinear map with a manufactured fixed point; full-width

@@ -103,7 +103,7 @@ def test_run_reports_match_recorded_outputs_bit_for_bit():
 def test_recorded_runs_cover_the_stop_paths():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     reasons = {v.get("reason") for v in expected.values()}
-    assert {"converged", "max_cycles"} <= reasons
+    assert {"converged", "max_cycles", "stalled"} <= reasons
     assert any(v.get("fallback_cycles") for v in expected.values())
 
 

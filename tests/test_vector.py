@@ -751,9 +751,12 @@ class TestResidualAngles:
      "dual vector dimension does not match the sequence"),
     (lambda w: vpe_extrapolate(w, VpeMethod.mmpe(np.ones((2, 1))), 0),
      r"test_vectors must be 3 x >= 0, got \(2, 1\)"),
+    (lambda w: vpe_oracle(w, VpeMethod.mmpe(np.ones((2, 1))), 0),
+     r"test_vectors must be 3 x >= 0, got \(2, 1\)"),
     (lambda w: sbeta(w, [[1.0, 0.0]]),
      "test vector dimension does not match the sequence"),
-], ids=["tea_order_0", "vpe_mmpe_order_0", "sbeta"])
+], ids=["tea_order_0", "vpe_mmpe_order_0", "vpe_oracle_mmpe_order_0",
+        "sbeta"])
 def test_test_vectors_of_the_wrong_dimension_are_rejected(call, message):
     # order 0 returns the pilot term, but only after the dimension check
     window = SequenceWindow(np.arange(18.0).reshape(6, 3) ** 2)
