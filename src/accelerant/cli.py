@@ -60,7 +60,7 @@ from .problems import (
     reaction_diffusion,
     series_generator,
 )
-from .scalar import NonexistenceError, epsilon_scalar, iterated_aitken, rho, theta
+from .scalar import epsilon_scalar, iterated_aitken, rho, theta
 
 __all__ = ["main", "BENCH_HEADER", "BENCH_METHODS", "SCALAR_METHODS"]
 
@@ -442,9 +442,6 @@ def _bench_row(method: str, args, problem: FixedPointProblem) -> BenchRow:
     except DivergenceError:
         return BenchRow(method, 0, math.inf,
                         time.perf_counter() - start, "diverged")
-    except (BreakdownError, NonexistenceError) as exc:
-        return BenchRow(method, 0, math.inf, time.perf_counter() - start,
-                        f"breakdown ({type(exc).__name__})")
     return BenchRow(method, evals, final, time.perf_counter() - start, status)
 
 

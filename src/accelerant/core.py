@@ -226,10 +226,6 @@ class SequenceWindow:
         start = index - self._base
         return self._rows[start:start + count]
 
-    def as_matrix(self) -> np.ndarray:
-        """Stack vector terms as columns (N x len); scalars as a 1 x len row."""
-        return self._rows.T.copy()
-
     def __repr__(self) -> str:
         kind = "scalar" if self.is_scalar else f"vector[{self.dimension}]"
         return (f"SequenceWindow({kind}, len={len(self)}, "

@@ -30,7 +30,6 @@ __all__ = [
     "rre_tsvd",
     "select_truncation_index",
     "error_optimal_index",
-    "spectral_step_norm",
     "csv_report",
 ]
 
@@ -295,26 +294,6 @@ def error_optimal_index(model: SvdModel, exact_solution,
         for k in range(1, limit + 1)
     ]
     return int(np.argmin(errors)) + 1
-
-
-def spectral_step_norm(coefficients, lower: FilterFactors,
-                       upper: FilterFactors) -> float:
-    """Norm of the step between consecutive extrapolated iterates.
-
-    Computed in the orthonormal expansion basis: the squared norm is the
-    sum over shared terms of (alpha change * coefficient)^2 plus the
-    square of the newly admitted term's damped coefficient.  ``lower``
-    and ``upper`` must be factors for consecutive truncation levels.
-    """
-    delta = np.asarray(coefficients, dtype=float)
-    k = lower.order
-    if upper.order != k + 1:
-        raise ValueError("factor orders must be consecutive")
-    if delta.size < k + 1:
-        raise ValueError("not enough coefficients for the given orders")
-    shared = (upper.alpha[:k] - lower.alpha) * delta[:k]
-    admitted = upper.alpha[k] * delta[k]
-    return float(math.sqrt(float(np.sum(shared * shared)) + admitted * admitted))
 
 
 def csv_report(model: SvdModel, k_max: int, exact_solution=None) -> str:

@@ -107,7 +107,9 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def _as_vector(b, length: int | None = None) -> np.ndarray:
-    v = np.array(b, dtype=np.float64).reshape(-1)
+    v = np.array(b, dtype=np.float64)
+    if v.ndim != 1:
+        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     if length is not None and v.shape[0] != length:
         raise ValueError(f"vector length {v.shape[0]}, expected {length}")
     if not np.all(np.isfinite(v)):
@@ -149,6 +151,7 @@ def qr_mgs(a) -> QrFactors:
 
 
 def _solve_upper(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Back substitution; reads only the upper triangle of ``r``."""
     n = r.shape[0]
     x = np.zeros(n)
     for i in range(n - 1, -1, -1):
@@ -165,20 +168,16 @@ def _solve_lower_unit(l: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def lu_solve(a, b) -> np.ndarray:
-    """Solve A X = B by LU with partial pivoting; element growth is monitored.
+    """Solve A x = b by LU with partial pivoting; element growth is monitored.
 
-    B may be a vector or a matrix of right-hand sides; the result matches
-    its shape.  A singular pivot raises :class:`RankDeficiencyError`.
+    ``b`` is one right-hand side of finite entries.  A singular pivot
+    raises :class:`RankDeficiencyError`.
     """
     a = _as_matrix(a)
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError("lu_solve requires a square matrix")
-    b_arr = np.array(b, dtype=np.float64)
-    vector_rhs = b_arr.ndim == 1
-    if b_arr.shape[0] != n:
-        raise ValueError("right-hand side rows must match matrix order")
-    rhs = b_arr.reshape(n, -1) if vector_rhs else _as_matrix(b_arr)
+    b = _as_vector(b, n)
 
     lu = a.copy()
     perm = np.arange(n)
@@ -197,12 +196,7 @@ def lu_solve(a, b) -> np.ndarray:
         warnings.warn(
             f"large element growth ({growth:.2e}) in pivoted LU; "
             "the computed solution may be inaccurate", RuntimeWarning)
-
-    x = np.empty_like(rhs)
-    for col in range(rhs.shape[1]):
-        y = _solve_lower_unit(lu, rhs[perm, col])
-        x[:, col] = _solve_upper(np.triu(lu), y)
-    return x[:, 0] if vector_rhs else x
+    return _solve_upper(lu, _solve_lower_unit(lu, b[perm]))
 
 
 def _determinant(a) -> float:

@@ -258,9 +258,11 @@ def pade_approximant(coefficients: Sequence[float], m: int, n: int) -> RationalF
     Solves the n x n linear order conditions for the denominator by
     pivoted elimination, then recovers the numerator by convolution.
     A singular system means the requested table block is degenerate and
-    raises :class:`NonexistenceError`.
+    raises :class:`NonexistenceError`.  Coefficients must be finite.
     """
     c = [float(x) for x in coefficients]
+    if not np.all(np.isfinite(c)):
+        raise ValueError("series coefficients must be finite")
     if m < 0 or n < 0:
         raise ValueError("orders must be nonnegative")
     if len(c) < m + n + 1:

@@ -14,7 +14,6 @@ from accelerant.illposed import (
     error_optimal_index,
     rre_tsvd,
     select_truncation_index,
-    spectral_step_norm,
     tsvd_solution,
 )
 from accelerant.linalg import qr_mgs
@@ -169,18 +168,6 @@ class TestRreTsvd:
             assert factors.alpha[0] <= 1.0
             assert factors.alpha[-1] > 0.0
             assert np.all(np.diff(factors.alpha) <= 0.0)
-
-    def test_step_norm_matches_direct_difference(self):
-        model, _ = synthetic_model(seed=3)
-        seq = TsvdSequence.from_model(model)
-        results = rre_tsvd(model, 10)
-        for k in range(1, 10):
-            lower_point, lower_factors, _ = results[k - 1]
-            upper_point, upper_factors, _ = results[k]
-            direct = np.linalg.norm(upper_point - lower_point)
-            spectral = spectral_step_norm(seq.coefficients, lower_factors,
-                                          upper_factors)
-            assert spectral == pytest.approx(direct, abs=1e-10)
 
     def test_zero_coefficients_are_skipped(self):
         model = SvdModel(u=np.eye(4), sigma=[4.0, 3.0, 2.0, 1.0], v=np.eye(4),

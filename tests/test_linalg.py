@@ -66,7 +66,7 @@ def test_qr_hard_case_orthogonality():
 # -- lu_solve ----------------------------------------------------------------
 
 def test_lu_identity():
-    b = np.array([[1.0, 2.0], [3.0, 4.0]])
+    b = np.array([1.0, 2.0])
     np.testing.assert_array_equal(lu_solve(np.eye(2), b), b)
 
 
@@ -97,6 +97,17 @@ def test_lu_needs_pivoting():
 def test_lu_rhs_shape_mismatch():
     with pytest.raises(ValueError):
         lu_solve(np.eye(2), np.array([1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("n, shape", [(2, (2, 2)), (4, (2, 2)), (2, (2, 1))])
+def test_lu_rejects_a_matrix_rhs(n, shape):
+    with pytest.raises(ValueError, match="1-D"):
+        lu_solve(np.eye(n), np.ones(shape))
+
+
+def test_lu_rejects_a_nonfinite_rhs():
+    with pytest.raises(ValueError, match="finite"):
+        lu_solve(np.eye(2), np.array([np.inf, 1.0]))
 
 
 # -- determinant helper ------------------------------------------------------

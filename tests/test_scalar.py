@@ -422,6 +422,15 @@ def test_pade_degenerate_block_raises():
         pade_approximant([0.0, 0.0, 1.0], 0, 1)
 
 
+@pytest.mark.parametrize("coefficients, m, n", [
+    ([1.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0, np.inf], 2, 3),
+    ([1.0, np.inf], 1, 0),
+])
+def test_pade_rejects_nonfinite_coefficients(coefficients, m, n):
+    with pytest.raises(ValueError, match="finite"):
+        pade_approximant(coefficients, m, n)
+
+
 def test_pade_order_condition():
     # f - P/Q vanishes through order m+n at small z
     c = [1.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0, 1.0 / 120.0]
