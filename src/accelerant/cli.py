@@ -122,9 +122,26 @@ def _scalar_window(args) -> tuple[SequenceWindow, str]:
     return window, f"{args.series}, {args.terms} terms"
 
 
-def _tableau_summary(window, tableau):
-    """Best even-column estimate plus the step sizes behind the diagnostics."""
+def _accelerate(window, method: str):
+    """The best estimate, the accelerated step behind the stagnation
+    diagnostic (None if there is none) and the flagged entries; raises
+    :class:`BreakdownError` when no accelerated estimate exists."""
+    if method == "aitken":
+        levels = iterated_aitken(window, max_k=(len(window) - 1) // 2)
+        if len(levels) < 2:
+            raise BreakdownError("delta-squared completes no level")
+        deepest = levels[-1]
+        best = deepest[-1]
+        acc_step = abs(deepest[-1].value - deepest[-2].value) \
+            if len(deepest) >= 2 else abs(best.value - levels[-2][-1].value)
+        return best, acc_step, []
+    transform = {"epsilon": epsilon_scalar, "rho": rho, "theta": theta}[method]
+    # the full table: the stagnation diagnostic may read a column the
+    # rolling table has already evicted
+    tableau = transform(window, keep_full=True)
     best = tableau.best_estimate()
+    if best.order_k == 0:
+        raise BreakdownError("only raw terms survive in the table")
     column = sorted(tableau.column(best.order_k).items())
     acc_step = None
     if len(column) >= 2:
@@ -133,8 +150,7 @@ def _tableau_summary(window, tableau):
         shallower = sorted(tableau.column(best.order_k - 2).items())
         if shallower:
             acc_step = abs(best.value - shallower[-1][1])
-    raw_step = abs(window.terms[-1] - window.terms[-2])
-    return best, acc_step, raw_step
+    return best, acc_step, tableau.flagged_entries()
 
 
 def cmd_scalar(args) -> int:
@@ -148,37 +164,14 @@ def cmd_scalar(args) -> int:
         return 1
 
     lines = [f"sequence: {label}", f"method: {args.method}"]
-    flagged: list[tuple[int, int]] = []
-    if args.method == "aitken":
-        levels = iterated_aitken(window, max_k=(len(window.terms) - 1) // 2)
-        if len(levels) < 2:
-            print("\n".join(lines), file=sys.stderr)
-            print("breakdown before any accelerated estimate", file=sys.stderr)
-            return 2
-        best = levels[-1][-1]
-        deepest = levels[-1]
-        acc_step = abs(deepest[-1].value - deepest[-2].value) \
-            if len(deepest) >= 2 else abs(best.value - levels[-2][-1].value)
-        raw_step = abs(window.terms[-1] - window.terms[-2])
-    else:
-        transform = {"epsilon": epsilon_scalar, "rho": rho, "theta": theta}[args.method]
-        try:
-            # the full table: the stagnation diagnostic may read a column
-            # the rolling table has already evicted
-            tableau = transform(window, keep_full=True)
-            best, acc_step, raw_step = _tableau_summary(window, tableau)
-        except BreakdownError as exc:
-            print("\n".join(lines), file=sys.stderr)
-            print(f"breakdown before any accelerated estimate: {exc}",
-                  file=sys.stderr)
-            return 2
-        flagged = tableau.flagged_entries()
-        if best.order_k == 0:
-            print("\n".join(lines), file=sys.stderr)
-            print("breakdown before any accelerated estimate: only raw terms "
-                  "survive in the table", file=sys.stderr)
-            return 2
-
+    try:
+        best, acc_step, flagged = _accelerate(window, args.method)
+    except BreakdownError as exc:
+        print("\n".join(lines), file=sys.stderr)
+        print(f"breakdown before any accelerated estimate: {exc}",
+              file=sys.stderr)
+        return 2
+    raw_step = abs(window.terms[-1] - window.terms[-2])
     lines.append(f"estimate = {_fmt(best.value)}")
     lines.append(f"order = {best.order_k}")
     lines.append(f"pilot index = {best.pilot_index_n}")

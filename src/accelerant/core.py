@@ -49,11 +49,10 @@ Term = Union[float, np.ndarray]
 
 
 class BreakdownError(ArithmeticError):
-    """A recursion denominator was too small to divide by safely.
-
-    Attributes carry enough context to report *where* the tableau broke:
-    ``order_k`` / ``index_n`` locate the entry whose computation failed
-    (``None`` where a transform has no such position), ``denominator`` and
+    """A transform has no value at this input: a vanishing denominator, a
+    singular block (subclasses ``NonexistenceError``, ``RankDeficiencyError``)
+    or a tableau entry never reached.  ``order_k`` / ``index_n`` locate the
+    failed entry (``None`` where there is none); ``denominator`` and
     ``scale`` are the magnitudes that failed :func:`breakdown_check`.
     """
 
@@ -360,14 +359,15 @@ class Tableau:
     # -- reads --------------------------------------------------------------
 
     def get_entry(self, k: int, n: int) -> Term:
-        """Entry (k, n); raises BreakdownError if flagged, KeyError if absent."""
+        """Entry (k, n); raises BreakdownError if flagged or not stored."""
         if (k, n) in self._flags:
             raise BreakdownError(
                 f"tableau entry ({k}, {n}) is invalid after a breakdown",
                 order_k=k, index_n=n)
         i = self._row(k, n)
         if i is None:
-            raise KeyError(f"tableau entry ({k}, {n}) is not stored")
+            raise BreakdownError(f"tableau entry ({k}, {n}) is not stored",
+                                 order_k=k, index_n=n)
         values = self._columns[k][1]
         return float(values[i]) if values.ndim == 1 else values[i]
 

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import BreakdownError, SequenceWindow, _frozen_array
-from .scalar import BasisFamily, NonexistenceError
+from .scalar import BasisFamily
 from .vector import (
     AndersonState,
     VpeMethod,
@@ -349,7 +349,7 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
                 seq[j + 1] = apply_map(seq[j])
             try:
                 value = _extrapolate(config, seq, g_current - current)
-            except (NonexistenceError, BreakdownError, KeyError):
+            except BreakdownError:
                 value = seq[-1]
                 fallbacks += 1
             current = np.array(value, dtype=float)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BREAKDOWN_THRESHOLD, breakdown_check
+from .core import _BREAKDOWN_THRESHOLD, BreakdownError, breakdown_check
 
 __all__ = [
     "GmresTrace",
@@ -42,7 +42,7 @@ _ROTATION_TOL = 1e-14
 _MAX_SWEEPS = 60
 
 
-class RankDeficiencyError(ArithmeticError):
+class RankDeficiencyError(BreakdownError):
     """A factorization met a column with no usable remaining component."""
 
     def __init__(self, message: str, column: int | None = None):

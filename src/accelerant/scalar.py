@@ -58,7 +58,7 @@ _RATIO_FLOOR = 0.9
 _NEGLIGIBLE_DETERMINANT = "denominator determinant is negligible at order {order_k}"
 
 
-class NonexistenceError(ArithmeticError):
+class NonexistenceError(BreakdownError):
     """The requested transform is not defined for this input (singular
     coefficient system / degenerate table block)."""
 

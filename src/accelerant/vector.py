@@ -20,7 +20,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    BreakdownError,
     Estimate,
     SequenceWindow,
     Tableau,
@@ -506,21 +505,14 @@ def stea(window: SequenceWindow, weight, k: int, variant: int,
                               base_index=n0)
     scalar_table = epsilon_scalar(pairings, keep_full=True)
 
-    def even_entry(level: int, n: int) -> float:
-        try:
-            return scalar_table.get_entry(2 * level, n)
-        except KeyError as exc:
-            raise BreakdownError(
-                f"scalar companion entry ({2 * level}, {n}) unavailable",
-                order_k=2 * level, index_n=n) from exc
-
     # level l lifts e_{2l} and the vectors v_{2l} over n0 .. n0 + c + 1 to
     # level l + 1 over n0 .. n0 + c - 1; only the targets e_{2l+2} can be
     # missing, since every other read is column 0 or an earlier target
     e, current = pairings.rows(n0, 2 * k + 1)[:, 0], s_rows
     for level in range(k):
         c = 2 * (k - level) - 1
-        target = np.array([even_entry(level + 1, n0 + j) for j in range(c)])
+        target = np.array([scalar_table.get_entry(2 * level + 2, n0 + j)
+                           for j in range(c)])
         lo, hi = slice(variant - 1, variant - 1 + c), slice(variant, variant + c)
         # no check needed: building e_{2 level + 1}, which ``target``
         # reads, ran the same breakdown check on this same spread

@@ -393,7 +393,7 @@ def test_criterion_6_rational_table_bridge():
                 for n in (0, 1, 2):
                     try:
                         entry = table.get_entry(2 * k, n)
-                    except KeyError:
+                    except BreakdownError:
                         entry = None
                     try:
                         rational = pade_approximant(coefficients, n + k, k)(z)

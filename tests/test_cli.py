@@ -114,13 +114,16 @@ class TestScalarCommand:
         assert out == ""
         assert f"seq.txt:3: '{bad}' is not finite" in err
 
-    def test_breakdown_before_any_estimate_exits_two(self, capsys, tmp_path):
+    @pytest.mark.parametrize("method", cli.SCALAR_METHODS)
+    def test_breakdown_before_any_estimate_exits_two(self, capsys, tmp_path,
+                                                     method):
         path = tmp_path / "flat.txt"
         path.write_text("1.0\n1.0\n1.0\n1.0\n")
-        code, _, err = run_cli(capsys, ["scalar", "--input", str(path),
-                                        "--method", "epsilon"])
+        code, out, err = run_cli(capsys, ["scalar", "--input", str(path),
+                                          "--method", method])
         assert code == 2
-        assert "breakdown" in err
+        assert out == ""
+        assert "breakdown before any accelerated estimate: " in err
 
     def test_output_flag_is_rejected(self, capsys, tmp_path):
         # the estimate always goes to stdout, so --output is not offered

@@ -333,7 +333,7 @@ def test_out_of_order_writes_leave_a_hole():
     assert all(type(v) is float for v in column.values())
     with pytest.raises(BreakdownError):
         t.get_entry(0, 1)
-    with pytest.raises(KeyError):
+    with pytest.raises(BreakdownError):
         t.get_entry(0, 3)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from accelerant.core import BreakdownError, SequenceWindow
-from accelerant.linalg import gmres_oracle, qr_mgs
+from accelerant.linalg import RankDeficiencyError, gmres_oracle, qr_mgs
 from accelerant.problems import (
     fredholm,
     linear_iteration_generator,
@@ -836,13 +836,33 @@ ONE_SHOT_BREAKDOWNS = {
         # constant pairings: column 1 holds no valid entry, the table ends
         lambda: stea(SequenceWindow([[1.0, n] for n in range(3)]),
                      [1.0, 0.0], 1, 1),
-        "scalar companion entry (2, 0) unavailable", 2, 0, 0.0, 0.0),
+        "tableau entry (2, 0) is not stored", 2, 0, 0.0, 0.0),
     "stea_invalid_after_breakdown": (
         # z_0 = z_1 flags e_1^(4), and e_2^(4) reads it
         lambda: stea(SequenceWindow([[z, 0.0] for z in (1.0, 1.0, 2.0, 4.0, 7.0)],
                                     base_index=4), [1.0, 0.0], 2, 2),
         "tableau entry (2, 4) is invalid after a breakdown", 2, 4, 0.0, 0.0),
 }
+
+
+def test_table_read_past_its_end_is_a_breakdown():
+    # equal terms: column 1 holds no valid entry, so the table ends there
+    table = vea(SequenceWindow([np.ones(2)] * 3))
+    with pytest.raises(BreakdownError) as raised:
+        table.get_entry(2, 0)
+    assert (raised.value.order_k, raised.value.index_n) == (2, 0)
+
+
+def test_singular_blocks_are_breakdowns():
+    w = SequenceWindow([np.zeros(2), np.array([1.0, 0.0]),
+                        np.array([1.5, 0.0])])
+    with pytest.raises(BreakdownError) as raised:
+        vpe_extrapolate(w, VpeMethod.mmpe(np.array([[0.0], [1.0]])), 1)
+    assert type(raised.value) is NonexistenceError
+    with pytest.raises(BreakdownError) as raised:
+        qr_mgs(np.ones((4, 2)))
+    assert type(raised.value) is RankDeficiencyError
+    assert raised.value.column == 1
 
 
 @pytest.mark.parametrize("case", sorted(ONE_SHOT_BREAKDOWNS))
