@@ -268,7 +268,8 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
     start's norm, stops with reason ``stalled``, since every later cycle
     would repeat it (anderson, whose step depends on its history, is
     never checked); and after ``config.max_cycles`` cycles the run stops
-    with reason ``max_cycles``.  A transform breakdown inside a cycle
+    with reason ``max_cycles``.  A starting residual whose norm overflows
+    or underflows raises ValueError.  A transform breakdown inside a cycle
     falls back to the window's last plain iterate for that cycle (counted
     in ``fallback_cycles``).
     """
@@ -297,9 +298,15 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
 
     current = np.array(problem.initial_guess, dtype=float)
     g_current = apply_map(current)
-    reference = float(np.linalg.norm(g_current - current))
-    if reference == 0.0:
+    residual0 = g_current - current
+    if not np.any(residual0):
         return report(0, 0.0, [], "converged", 0)
+    with np.errstate(over="ignore"):  # the norm squares without scaling
+        reference = float(np.linalg.norm(residual0))
+    if not 0.0 < reference < np.inf:
+        raise ValueError(
+            f"starting residual of scale {np.max(np.abs(residual0)):.3e} has "
+            "no finite nonzero norm in double precision; rescale the problem")
 
     def warmup(point: np.ndarray) -> np.ndarray:
         for _ in range(config.warmup_p):

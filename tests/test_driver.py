@@ -213,6 +213,20 @@ class TestRunCycles:
         assert report.final_residual == 0.0
         assert report.reason == "converged"
 
+    @pytest.mark.parametrize("offset", [1e155, 1e-165])
+    def test_starting_residual_norm_out_of_range_raises(self, offset):
+        # the fixed point is 2 * offset, but the residual's norm overflows
+        # or underflows when its entries are squared
+        problem = FixedPointProblem(30, lambda x: 0.5 * x + offset,
+                                    np.zeros(30))
+        with pytest.raises(ValueError, match="scale"):
+            run_cycles(problem, CycleConfig(method="rre"))
+
+    def test_identity_map_converges_at_once(self):
+        problem = FixedPointProblem(30, lambda x: x, np.zeros(30))
+        report = run_cycles(problem, CycleConfig(method="rre"))
+        assert (report.reason, report.iterations) == ("converged", 1)
+
     @pytest.mark.parametrize("method", ["rre", "vea", "anderson"])
     def test_exact_accounting_without_warmup(self, method):
         problem, _, _ = affine_problem(6, 10)
