@@ -282,10 +282,11 @@ def error_optimal_index(model: SvdModel, exact_solution,
     """Truncation level minimizing the error of the plain iterates.
 
     Scans ``tsvd_solution`` for k = 1 .. ``k_max`` (default: full rank)
-    against the supplied exact solution and returns the minimizer.  Ties
-    go to the smallest level.
+    against the supplied exact solution, a finite vector with one entry
+    per row of ``model.v``, and returns the minimizer.  Ties go to the
+    smallest level.
     """
-    exact = np.asarray(exact_solution, dtype=float)
+    exact = _frozen_array(exact_solution, "exact_solution", 1, model.v.shape[0])
     limit = model.rank if k_max is None else k_max
     if not 1 <= limit <= model.rank:
         raise ValueError(f"k_max must lie in [1, {model.rank}], got {limit}")
@@ -301,15 +302,16 @@ def csv_report(model: SvdModel, k_max: int, exact_solution=None) -> str:
 
     One row per truncation level: the level, the generalized residual
     norm of the extrapolated iterate, and — when an exact solution is
-    supplied — the relative errors of the plain and extrapolated
-    iterates.  Without an exact solution the error columns are left
-    empty.
+    supplied, validated as in :func:`error_optimal_index` — the relative
+    errors of the plain and extrapolated iterates.  Without an exact
+    solution the error columns are left empty.
     """
     results = rre_tsvd(model, k_max)
     exact = None
     exact_norm = 0.0
     if exact_solution is not None:
-        exact = np.asarray(exact_solution, dtype=float)
+        exact = _frozen_array(exact_solution, "exact_solution", 1,
+                              model.v.shape[0])
         exact_norm = float(np.linalg.norm(exact))
         if exact_norm == 0.0:
             raise ValueError("exact solution must be nonzero")

@@ -17,6 +17,7 @@ from accelerant.illposed import (
     tsvd_solution,
 )
 from accelerant.linalg import qr_mgs
+from accelerant.problems import illposed_synthetic
 from accelerant.vector import VpeMethod, vpe_extrapolate
 
 
@@ -275,6 +276,27 @@ class TestStagnationProfile:
         norms = [r for _, _, r in rre_tsvd(model, 3 * k_opt)]
         k_selected = select_truncation_index(norms)
         assert abs(k_selected - k_opt) <= 3
+
+
+BAD_EXACT_SOLUTIONS = {
+    "length_one": np.ones(1),
+    "all_nan": np.full(50, np.nan),
+    "one_inf": np.r_[np.inf, np.ones(49)],
+    "column_matrix": np.ones((50, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EXACT_SOLUTIONS))
+@pytest.mark.parametrize("report", ["error_optimal_index", "csv_report"])
+def test_exact_solution_is_validated(case, report):
+    # none of these may broadcast against the iterates or yield nan columns
+    model = illposed_synthetic(50, 0.5, 1e-2, 1)
+    exact = BAD_EXACT_SOLUTIONS[case]
+    with pytest.raises(ValueError, match="exact_solution"):
+        if report == "csv_report":
+            csv_report(model, 3, exact_solution=exact)
+        else:
+            error_optimal_index(model, exact)
 
 
 class TestCsvReport:
