@@ -528,14 +528,14 @@ class AndersonState:
     """Bounded history carried between residual-mixing steps.
 
     Holds the trailing iterates and residuals (most recent last), the mixing
-    depth ``depth`` (how many residual differences may enter one update),
-    the damping factor, and the number of completed updates.  States are
-    immutable; each step returns a fresh one.
+    depth ``depth`` (how many residual differences may enter one update)
+    and the damping factor.  There is one more iterate than residuals and
+    at most ``depth`` residuals, each of which the next update mixes.
+    States are immutable; each step returns a fresh one.
     """
 
     depth: int
     damping: float
-    step_index: int
     iterates: tuple
     residuals: tuple = ()
     diagnostics: Mapping[str, float] = field(default_factory=dict)
@@ -547,23 +547,22 @@ class AndersonState:
             raise ValueError("damping must be positive")
         if not self.iterates or not np.size(self.iterates[0]):
             raise ValueError("state must hold at least one nonempty iterate")
+        if len(self.iterates) != len(self.residuals) + 1 \
+                or len(self.residuals) > self.depth:
+            raise ValueError("state must hold one more iterate than residuals "
+                             "and at most depth residuals")
         for name in ("iterates", "residuals"):
             object.__setattr__(self, name, tuple(
                 _frozen_array(x, name, 1) for x in getattr(self, name)))
 
     @classmethod
     def start(cls, x0, depth: int, damping: float = 1.0) -> "AndersonState":
-        return cls(depth=depth, damping=damping, step_index=0,
+        return cls(depth=depth, damping=damping,
                    iterates=(np.asarray(x0, dtype=np.float64),))
 
     @property
     def current(self) -> np.ndarray:
         return self.iterates[-1]
-
-    @property
-    def active_depth(self) -> int:
-        """How many residual differences the next update may mix."""
-        return min(self.depth, self.step_index)
 
 
 def anderson_step(state: AndersonState, g_value):
@@ -584,12 +583,8 @@ def anderson_step(state: AndersonState, g_value):
     if g_arr.shape != x_k.shape:
         raise ValueError("mapped value dimension does not match the iterate")
     f_k = g_arr - x_k
-    m_k = state.active_depth
-    if m_k > len(state.residuals):
-        raise ValueError("state history is too short for its step index")
-
-    xs = state.iterates[len(state.iterates) - (m_k + 1):]
-    fs = state.residuals[len(state.residuals) - m_k:] + (f_k,)
+    m_k = len(state.residuals)
+    xs, fs = state.iterates, state.residuals + (f_k,)
     dropped = 0
     theta = np.zeros(0)
     while m_k > 0:
@@ -617,11 +612,10 @@ def anderson_step(state: AndersonState, g_value):
     for j, th in enumerate(theta):
         diag[f"theta_{j}"] = float(th)
 
-    keep = state.depth + 1
+    residuals = state.residuals + (f_k,)
     new_state = replace(
         state,
-        step_index=state.step_index + 1,
-        iterates=(state.iterates + (x_next,))[-keep:],
-        residuals=(state.residuals + (f_k,))[-max(state.depth, 1):],
+        iterates=(state.iterates + (x_next,))[-(state.depth + 1):],
+        residuals=residuals[max(0, len(residuals) - state.depth):],
         diagnostics=diag)
     return x_next, new_state

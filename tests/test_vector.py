@@ -571,6 +571,23 @@ class TestAndersonStep:
             x, state = anderson_step(state, mapping(state.current))
             plain = plain + damping * (mapping(plain) - plain)
             np.testing.assert_allclose(x, plain, atol=1e-14)
+            assert state.residuals == ()
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_history_holds_one_more_iterate_than_residuals(self, depth):
+        state = AndersonState.start(np.zeros(4), depth=depth)
+        for step in range(1, 6):
+            _, state = anderson_step(state, 0.5 * state.current + 1.0)
+            assert len(state.residuals) == min(step, depth)
+            assert len(state.iterates) == len(state.residuals) + 1
+
+    def test_state_invariant_is_checked(self):
+        x = np.zeros(2)
+        with pytest.raises(ValueError):
+            AndersonState(depth=1, damping=1.0, iterates=(x, x))
+        with pytest.raises(ValueError):
+            AndersonState(depth=1, damping=1.0, iterates=(x, x, x),
+                          residuals=(x, x))
 
     def test_mixed_residual_orthogonal_to_differences(self):
         rng = np.random.default_rng(13)
