@@ -584,7 +584,8 @@ def anderson_step(state: AndersonState, g_value):
         raise ValueError("mapped value dimension does not match the iterate")
     f_k = g_arr - x_k
     m_k = len(state.residuals)
-    xs, fs = state.iterates, state.residuals + (f_k,)
+    residuals = state.residuals + (f_k,)
+    xs, fs = state.iterates, residuals
     dropped = 0
     theta = np.zeros(0)
     while m_k > 0:
@@ -612,7 +613,6 @@ def anderson_step(state: AndersonState, g_value):
     for j, th in enumerate(theta):
         diag[f"theta_{j}"] = float(th)
 
-    residuals = state.residuals + (f_k,)
     new_state = replace(
         state,
         iterates=(state.iterates + (x_next,))[-(state.depth + 1):],
