@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -98,10 +99,20 @@ class SparseGraph:
             raise ValueError("one out-edge list per node is required")
         if len(self.original_ids) != self.node_count:
             raise ValueError("one original id per node is required")
-        for targets in self.out_edges:
-            for node in targets:
-                if not 0 <= node < self.node_count:
-                    raise ValueError(f"edge target {node} out of range")
+        try:
+            targets = self.edge_targets
+            valid = np.all((targets >= 0) & (targets < self.node_count))
+        except OverflowError:  # a target beyond the integer dtype's range
+            valid = False
+        if not valid:
+            node = next(t for out in self.out_edges for t in out
+                        if not 0 <= t < self.node_count)
+            raise ValueError(f"edge target {node} out of range")
+
+    @property
+    def edge_targets(self) -> np.ndarray:
+        """Every edge's target as one flat array, in source-node order."""
+        return np.fromiter(chain.from_iterable(self.out_edges), dtype=int)
 
     @property
     def out_degrees(self) -> np.ndarray:
@@ -417,17 +428,17 @@ def pagerank(graph: SparseGraph, alpha: float = 0.85,
 
     degrees = graph.out_degrees
     sources = np.repeat(np.arange(n), degrees)
-    targets = np.fromiter((t for out in graph.out_edges for t in out),
-                          dtype=int, count=sources.size)
+    targets = graph.edge_targets
     inverse_degree = np.zeros(n)
     linked = degrees > 0
     inverse_degree[linked] = 1.0 / degrees[linked]
+    edge_weight = inverse_degree[sources]
     dangling = ~linked
 
     def apply_map(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        spread = np.bincount(
-            targets, weights=x[sources] * inverse_degree[sources], minlength=n)
+        spread = np.bincount(targets, weights=x[sources] * edge_weight,
+                             minlength=n)
         dangling_mass = float(x[dangling].sum())
         nxt = alpha * (spread + dangling_mass * v) + (1.0 - alpha) * v
         return nxt / nxt.sum()
@@ -445,6 +456,11 @@ def clustered_graph(n: int, avg_deg: int, seed: int) -> SparseGraph:
     takes many steps to equilibrate between the communities -- a useful
     stress case for acceleration.  Out-degrees are exactly ``avg_deg``;
     repeated targets (parallel edges) are allowed and weighted accordingly.
+
+    All targets come from one ``rng.integers`` call with per-edge bounds,
+    drawn node-major (node 0's targets, then node 1's, ...).  That is the
+    stream one bounded draw per node produced, so a seed gives the same
+    graph as that per-node loop did (``tests/_oracles.py`` keeps it).
     """
     if n < 4:
         raise ValueError("clustered graphs need at least 4 nodes")
@@ -452,18 +468,14 @@ def clustered_graph(n: int, avg_deg: int, seed: int) -> SparseGraph:
         raise ValueError("avg_deg must be at least 2")
     rng = np.random.default_rng(seed)
     split = (6 * n) // 10
-    bounds = ((0, split), (split, n))
-    out = []
-    for i in range(n):
-        c = 0 if i < split else 1
-        lo, hi = bounds[c]
-        if i % 4 == 0:
-            targets = np.concatenate([rng.integers(lo, hi, size=avg_deg - 1),
-                                      rng.integers(*bounds[1 - c], size=1)])
-        else:
-            targets = rng.integers(lo, hi, size=avg_deg)
-        out.append(tuple(targets.tolist()))
-    return SparseGraph(node_count=n, out_edges=tuple(out),
+    # each edge's target cluster; every fourth node's last edge crosses
+    second = np.repeat((np.arange(n) >= split)[:, None], avg_deg, axis=1)
+    second[::4, -1] ^= True
+    draws = rng.integers(np.where(second, split, 0),
+                         np.where(second, n, split))
+    # row by row, so the whole nested list never exists at once
+    targets = map(np.ndarray.tolist, draws)
+    return SparseGraph(node_count=n, out_edges=tuple(map(tuple, targets)),
                        original_ids=tuple(range(n)))
 
 

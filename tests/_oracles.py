@@ -37,6 +37,29 @@ def cyclic_jacobi_eigenvalues(sym, tol: float = 1e-13, max_sweeps: int = 100):
     return np.sort(np.diag(a))[::-1]
 
 
+def clustered_graph_per_node(n, avg_deg, seed):
+    """``problems.clustered_graph``'s out-edge lists, one draw per node.
+
+    The loop the library replaced with a single bounded draw: node by
+    node, ``avg_deg`` own-cluster targets, of which each fourth node
+    trades its last for one target in the other cluster.
+    """
+    rng = np.random.default_rng(seed)
+    split = (6 * n) // 10
+    bounds = ((0, split), (split, n))
+    out = []
+    for i in range(n):
+        c = 0 if i < split else 1
+        lo, hi = bounds[c]
+        if i % 4 == 0:
+            targets = np.concatenate([rng.integers(lo, hi, size=avg_deg - 1),
+                                      rng.integers(*bounds[1 - c], size=1)])
+        else:
+            targets = rng.integers(lo, hi, size=avg_deg)
+        out.append(tuple(targets.tolist()))
+    return tuple(out)
+
+
 def neville_polynomial_extrapolation(nodes, values):
     """Value at 0 of the polynomial interpolating (nodes[i], values[i]).
 

@@ -1,5 +1,6 @@
 """Tests for the benchmark problem generators."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ from accelerant.problems import (
     series_generator,
 )
 from accelerant.illposed import error_optimal_index, tsvd_solution
+
+from _oracles import clustered_graph_per_node
 
 
 class TestSeriesGenerator:
@@ -300,16 +303,26 @@ class TestPagerank:
     ], ids=["clustered", "dangling-parallel", "no-edges"])
     def test_map_matches_add_at_scatter_bit_for_bit(self, graph):
         rng = np.random.default_rng(5)
-        v = rng.uniform(0.5, 1.5, graph.node_count)
-        problem = pagerank(graph, alpha=0.85, personalization=v)
-        reference = add_at_surfer_map(graph, 0.85, problem.initial_guess)
-        x = rng.uniform(0.0, 1.0, graph.node_count)
-        assert np.array_equal(problem.mapping(x), reference(x))
+        n = graph.node_count
+        for personalization in (None, rng.uniform(0.5, 1.5, n)):
+            problem = pagerank(graph, alpha=0.85,
+                               personalization=personalization)
+            reference = add_at_surfer_map(graph, 0.85, problem.initial_guess)
+            for x in (rng.uniform(0.0, 1.0, n),
+                      *rng.dirichlet(np.ones(n), size=3)):
+                assert np.array_equal(problem.mapping(x), reference(x))
         state = problem.initial_guess
         for _ in range(30):
             nxt = problem.mapping(state)
             assert np.array_equal(nxt, reference(state))
             state = nxt
+
+    @pytest.mark.parametrize("bad", [-1, 3, 2**70])
+    def test_out_of_range_target_is_rejected(self, bad):
+        message = f"edge target {bad} out of range"
+        with pytest.raises(ValueError, match=message):
+            SparseGraph(node_count=3, out_edges=((1, 2), (), (0, bad)),
+                        original_ids=(0, 1, 2))
 
     def test_single_node(self):
         graph = SparseGraph.from_edges(1, [])
@@ -384,6 +397,21 @@ class TestClusteredGraph:
     def test_edge_targets_are_python_ints(self):
         graph = clustered_graph(50, 4, seed=5)
         assert all(type(t) is int for out in graph.out_edges for t in out)
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 123])
+    def test_single_draw_matches_per_node_loop(self, n):
+        for avg_deg in (2, 3, 17):
+            for seed in (42, 1009):
+                assert clustered_graph(n, avg_deg, seed).out_edges == \
+                    clustered_graph_per_node(n, avg_deg, seed)
+
+    def test_benchmark_graph_is_pinned(self):
+        # sha256 of pagerank20k's graph, recorded from the per-node loop: a
+        # numpy release that changes the bounded-integer stream fails here
+        targets = clustered_graph(20000, 8, 42).edge_targets
+        digest = hashlib.sha256(targets.astype("<i8").tobytes()).hexdigest()
+        assert digest == ("7e21932e119f2ec7c200806f66d7b347"
+                          "4a23d14c810aab3d21784a07faeaee1b")
 
     def test_same_seed_is_deterministic(self):
         assert clustered_graph(60, 5, seed=9) == clustered_graph(60, 5, seed=9)
