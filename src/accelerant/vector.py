@@ -575,18 +575,20 @@ def anderson_step(state: AndersonState, g_value):
         x_{k+1} = (x_k - dX theta) + damping (F_k - dF theta).
 
     With an empty history (or depth zero) this is the damped fixed-point
-    update.  A rank-deficient difference matrix sheds its oldest columns
-    until the fit is well posed; the count appears in the diagnostics.
+    update.  The fit mixes at most N differences, so a history deeper than
+    the dimension sheds its oldest columns first, and a rank-deficient
+    difference matrix sheds more until the fit is well posed; the count
+    appears in the diagnostics.
     """
     x_k = state.current
     g_arr = np.asarray(g_value, dtype=np.float64)
     if g_arr.shape != x_k.shape:
         raise ValueError("mapped value dimension does not match the iterate")
     f_k = g_arr - x_k
-    m_k = len(state.residuals)
     residuals = state.residuals + (f_k,)
-    xs, fs = state.iterates, residuals
-    dropped = 0
+    dropped = max(0, len(state.residuals) - x_k.size)
+    m_k = len(state.residuals) - dropped
+    xs, fs = state.iterates[dropped:], residuals[dropped:]
     theta = np.zeros(0)
     while m_k > 0:
         d_f = np.column_stack([fs[j + 1] - fs[j] for j in range(m_k)])

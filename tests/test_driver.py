@@ -164,6 +164,18 @@ class TestRunCycles:
         assert report.cycles == steps
         assert report.iterations == steps + 1
 
+    def test_anderson_depth_above_dimension_mixes_at_most_n(self):
+        # depth 5 on N = 2 keeps five residuals but mixes only the newest
+        # two differences, so it takes the steps depth 2 takes
+        problem = FixedPointProblem(
+            2, lambda x: np.cos(x) + 0.1 * np.sin(3 * x[::-1]), np.zeros(2))
+        deep, shallow = (
+            run_cycles(problem, CycleConfig("anderson", depth=d, tol=1e-14))
+            for d in (5, 2))
+        assert deep.reason == shallow.reason == "converged"
+        assert deep.iterations == shallow.iterations == 8
+        assert deep.final_residual == shallow.final_residual
+
     def test_breakdown_falls_back_to_last_iterate(self):
         # nilpotent iteration matrix: the exact fixed point is reached in
         # three steps, so the lozenge window contains repeated terms and the

@@ -660,6 +660,15 @@ class TestAndersonStep:
         assert state.diagnostics["mixed_depth"] == 0.0
         np.testing.assert_allclose(x, 3 * shift)
 
+    def test_history_deeper_than_dimension_sheds_oldest_columns(self):
+        state = AndersonState.start(np.zeros(2), depth=5, damping=1.0)
+        for _ in range(5):
+            _, state = anderson_step(
+                state, np.cos(state.current) + np.array([0.0, 0.5]))
+        assert len(state.residuals) == 5
+        assert state.diagnostics["mixed_depth"] <= 2.0
+        assert state.diagnostics["columns_dropped"] >= 2.0
+
     def test_state_validation(self):
         with pytest.raises(ValueError):
             AndersonState.start(np.zeros(2), depth=-1)
