@@ -468,11 +468,12 @@ def clustered_graph(n: int, avg_deg: int, seed: int) -> SparseGraph:
         raise ValueError("avg_deg must be at least 2")
     rng = np.random.default_rng(seed)
     split = (6 * n) // 10
-    # each edge's target cluster; every fourth node's last edge crosses
-    second = np.repeat((np.arange(n) >= split)[:, None], avg_deg, axis=1)
-    second[::4, -1] ^= True
-    draws = rng.integers(np.where(second, split, 0),
-                         np.where(second, n, split))
+    # whether each edge targets the second cluster: a node's own cluster,
+    # except that every fourth node's last edge crosses to the other one
+    to_second = np.repeat((np.arange(n) >= split)[:, None], avg_deg, axis=1)
+    to_second[::4, -1] ^= True
+    draws = rng.integers(np.where(to_second, split, 0),
+                         np.where(to_second, n, split))
     # row by row, so the whole nested list never exists at once
     targets = map(np.ndarray.tolist, draws)
     return SparseGraph(node_count=n, out_edges=tuple(map(tuple, targets)),

@@ -273,7 +273,8 @@ def iterate_to_fixed_point(problem, steps=400):
 
 
 def add_at_surfer_map(graph, alpha, v):
-    """The surfer map scattered through a zero-filled buffer and np.add.at."""
+    """The surfer map gathering each edge's weight on every call and
+    scattering through a zero-filled buffer and np.add.at."""
     n = graph.node_count
     sources = np.array([s for s, out in enumerate(graph.out_edges)
                         for _ in out], dtype=int)
