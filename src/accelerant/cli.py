@@ -30,6 +30,8 @@ import numpy as np
 
 from .core import (
     _TINY,
+    _norm,
+    _passes,
     BreakdownError,
     SequenceWindow,
     breakdown_check,
@@ -216,7 +218,7 @@ def _build_problem(args, rng_seed: int) -> FixedPointProblem:
 def _problem_norm(problem_name: str):
     if problem_name == "pagerank":
         return lambda z: float(np.abs(z).sum())
-    return lambda z: float(np.linalg.norm(z))
+    return _norm
 
 
 def _cycle_config(args, method: str, dimension: int) -> CycleConfig:
@@ -359,12 +361,32 @@ def _lozenge_update(diagonal: list, term) -> list:
     for a in diagonal:
         b = new[-1]
         d = b - a
-        safe = breakdown_check(d, np.maximum(np.abs(a), np.abs(b)))
+        # the scale is a maximum of magnitudes: never negative
+        safe = _passes(np.abs(d), np.maximum(np.abs(a), np.abs(b)))
         q = np.where(safe, 1.0 / d, np.nan)
         q += back
         new.append(q)
         back = a
     return new
+
+
+def _deepest_finite(diagonal: list) -> np.ndarray:
+    """Per component, the deepest finite even-column entry of ``diagonal``
+    (column 0's where none is finite).
+
+    A breakdown turns a component NaN along with everything that reads
+    it.  The scan starts at the deepest even column and stops as soon as
+    no component is missing, so a table without breakdowns costs one
+    finiteness check.
+    """
+    evens = diagonal[::2]
+    best = evens[-1]
+    for candidate in reversed(evens[:-1]):
+        missing = ~np.isfinite(best)
+        if not missing.any():
+            break
+        best = np.where(missing, candidate, best)
+    return best
 
 
 def _run_componentwise(problem: FixedPointProblem, tol: float, max_evals: int,
@@ -391,12 +413,7 @@ def _run_componentwise(problem: FixedPointProblem, tol: float, max_evals: int,
         if kind == "aitken":
             accelerated = _componentwise_aitken(*recent)
         else:
-            # deepest finite even-column entry per component; a breakdown
-            # turns a component NaN along with everything that reads it
-            accelerated = diagonal[0]
-            for candidate in diagonal[2::2]:
-                accelerated = np.where(np.isfinite(candidate), candidate,
-                                       accelerated)
+            accelerated = _deepest_finite(diagonal)
         if error_aware:
             accelerated = np.abs(accelerated)
             accelerated /= accelerated.sum()

@@ -26,6 +26,7 @@ All arithmetic is plain 64-bit binary floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
@@ -94,6 +95,19 @@ def _passes(size: np.ndarray, local_scale: np.ndarray) -> np.ndarray:
     return size > _BREAKDOWN_THRESHOLD * np.maximum(local_scale, _TINY)
 
 
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of a contiguous 1-D float64 vector, ``sqrt(x . x)``.
+
+    ``np.linalg.norm`` runs this same dot and a correctly rounded square
+    root on such a vector, so the bits agree, without its argument
+    handling.  (A strided vector it would first copy to contiguous memory,
+    and the dot's rounding depends on the stride, so callers pass
+    contiguous vectors only.)  A square that overflows gives ``inf``, with
+    numpy's overflow warning, either way.
+    """
+    return math.sqrt(x.dot(x))
+
+
 def _require_safe(denominator: float, scale: float, message: str,
                   order_k: int, index_n: int | None = None) -> None:
     """Raise :class:`BreakdownError` unless :func:`breakdown_check` passes.
@@ -138,7 +152,7 @@ def _frozen_array(value, label: str, ndim: int,
     if arr.ndim != ndim or (length is not None and arr.shape[0] != length):
         of_length = "" if length is None else f" of length {length}"
         raise ValueError(f"{label} must be a {ndim}-D array{of_length}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{label} must be finite")
     arr.flags.writeable = False
     return arr
@@ -158,7 +172,9 @@ class SequenceWindow:
 
     def __init__(self, terms: Iterable = (), base_index: int = 0):
         try:
-            rows = np.array(list(terms), dtype=np.float64)
+            # an array is copied by one call, its rows kept in C order
+            rows = np.array(terms if isinstance(terms, np.ndarray)
+                            else list(terms), dtype=np.float64, order="C")
         except ValueError as exc:
             raise ValueError("terms must all be numbers or all be vectors of "
                              "one dimension") from exc
@@ -271,6 +287,10 @@ class Tableau:
     stores one entry, which requires parents ``(k-1, n)`` and
     ``(k-1, n+1)``, stored or flagged, unless ``k`` is -1 or 0, so tables
     fill column by column; the column sweep stores whole columns.
+    :meth:`get_entries` reads a run of one column at once: it returns the
+    stored values as a read-only slice, so a reader of many entries pays
+    for one lookup, and it fails exactly where a loop of :meth:`get_entry`
+    would.
 
     ``estimate_parity`` marks which columns hold genuine limit estimates:
     ``"even"`` for epsilon-type tables whose odd columns are auxiliary,
@@ -371,6 +391,25 @@ class Tableau:
         values = self._columns[k][1]
         return float(values[i]) if values.ndim == 1 else values[i]
 
+    def get_entries(self, k: int, n: int, count: int) -> np.ndarray:
+        """Entries (k, n) .. (k, n + count - 1) as one read-only slice of
+        column k, equal entry for entry to :meth:`get_entry`; raises the
+        BreakdownError :meth:`get_entry` raises on the first of them that
+        is flagged or not stored."""
+        if count < 1:
+            raise ValueError("count must be positive")
+        start, values, held = self._columns.get(k, (n, (), None))
+        i = n - start
+        stored = 0 <= i and i + count <= len(values) and (
+            held is None or held[i:i + count].all())
+        if not stored or (self._flags and any(
+                (k, m) in self._flags for m in range(n, n + count))):
+            for m in range(n, n + count):
+                self.get_entry(k, m)  # raises on the first bad entry
+        run = values[i:i + count]
+        run.flags.writeable = False
+        return run
+
     def flagged_entries(self) -> list[tuple[int, int]]:
         """Positions (k, n) invalidated by breakdowns, sorted by column."""
         return sorted(self._flags)
@@ -426,16 +465,18 @@ def _column_sweep(column0: np.ndarray, base: int, rules, keep_full: bool,
     """
     table = Tableau(keep_full, "even" if lozenge else "all")
     if lozenge:
+        # vector rows share one zero row; floats are cheaper to allocate
+        # than to broadcast
         shape = (len(column0) + 1,) + column0.shape[1:]
-        table._store(-1, base, np.broadcast_to(np.zeros(column0.shape[1:]),
-                                               shape), None)
+        table._store(-1, base, np.zeros(shape) if column0.ndim == 1 else
+                     np.broadcast_to(np.zeros(shape[1:]), shape), None)
     table._store(0, base, column0, None)
     columns = table._columns  # every column starts at base
     k = 1
     with np.errstate(all="ignore"):
         while last_column is None or k <= last_column:
             parents, gap, step = rules[k % len(rules)]
-            count = min(len(columns[k - dk][1]) - dn for dk, dn in parents)
+            count = min([len(columns[k - dk][1]) - dn for dk, dn in parents])
             if count <= 0:
                 break
             reads = [columns[k - dk][1][dn:dn + count] for dk, dn in parents]
@@ -446,12 +487,13 @@ def _column_sweep(column0: np.ndarray, base: int, rules, keep_full: bool,
                 if held is not None:
                     ok &= held[dn:dn + count]
             values = step(k, carry, size, *reads)
-            flagged = np.flatnonzero(~ok).tolist()
-            for i in flagged:
-                table.flag_breakdown(k, base + i)
-            if len(flagged) == count:
-                break
-            table._store(k, base, values, ok if flagged else None)
+            valid = np.count_nonzero(ok)
+            if valid < count:
+                for i in np.flatnonzero(~ok).tolist():
+                    table.flag_breakdown(k, base + i)
+                if not valid:
+                    break
+            table._store(k, base, values, None if valid == count else ok)
             k += 1
     table.compact()
     return table
@@ -470,6 +512,8 @@ def _lozenge_rule(size, step, out=None) -> tuple:
     """
     def gap(k, a, b, back):
         d = b - a if out is None else np.subtract(b, a, out=out(k, len(a)))
+        if a.ndim == 1:  # float entries: two sizes cost less than a splice
+            return d, size(d), np.maximum(size(a), size(b))
         sizes = size(a)
         later = np.concatenate((sizes[1:], size(b[-1:])))
         return d, size(d), np.maximum(sizes, later)

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import BreakdownError, SequenceWindow, _frozen_array
+from .core import BreakdownError, SequenceWindow, _frozen_array, _norm
 from .scalar import BasisFamily
 from .vector import (
     AndersonState,
@@ -282,7 +282,7 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
         image = np.asarray(problem.mapping(point), dtype=float)
         if image.shape != (dimension,):
             raise ValueError("map output dimension mismatch")
-        if not np.all(np.isfinite(image)):
+        if not np.isfinite(image).all():
             raise DivergenceError("map produced nonfinite values")
         return image
 
@@ -331,8 +331,11 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
     fallbacks = 0
     cycles = 0
     stalled = False
+    # The stop and stall checks take their norms as math.sqrt(r.dot(r))
+    # (``_norm``): on a contiguous float64 vector that is the dot and the
+    # square root np.linalg.norm runs, so the same bits at less cost.
     while True:
-        res = float(np.linalg.norm(g_current - current))
+        res = _norm(g_current - current)
         rel = res / reference
         if res > DIVERGENCE_FACTOR * reference:
             raise DivergenceError(
@@ -364,7 +367,6 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
             if rewarm_each_cycle:
                 current = warmup(current)
             # the next window starts from current, after any rerun warmup
-            stalled = float(np.linalg.norm(current - seq[0])) \
-                <= STALL_TOL * float(np.linalg.norm(seq[0]))
+            stalled = _norm(current - seq[0]) <= STALL_TOL * _norm(seq[0])
         cycles += 1
         g_current = apply_map(current)

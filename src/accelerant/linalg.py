@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BREAKDOWN_THRESHOLD, BreakdownError, breakdown_check
+from .core import _BREAKDOWN_THRESHOLD, BreakdownError, _norm, breakdown_check
 
 __all__ = [
     "GmresTrace",
@@ -101,7 +101,7 @@ def _as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.float64, order="F")
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError("expected a 2-D matrix with at least one row and column")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -112,7 +112,7 @@ def _as_vector(b, length: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     if length is not None and v.shape[0] != length:
         raise ValueError(f"vector length {v.shape[0]}, expected {length}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
@@ -131,22 +131,23 @@ def qr_mgs(a) -> QrFactors:
     q = np.zeros((m, n))
     r = np.zeros((n, n))
     col_norms = np.linalg.norm(a, axis=0)
+    q_cols = [q[:, j] for j in range(n)]  # views, taken once
     for j in range(n):
         v = a[:, j].copy()
         for i in range(j):
-            r[i, j] = q[:, i] @ v
-            v -= r[i, j] * q[:, i]
+            r[i, j] = rij = q_cols[i] @ v
+            v -= rij * q_cols[i]
         for i in range(j):  # second pass restores orthogonality
-            c = q[:, i] @ v
+            c = q_cols[i] @ v
             r[i, j] += c
-            v -= c * q[:, i]
-        norm = np.linalg.norm(v)
+            v -= c * q_cols[i]
+        norm = _norm(v)
         if not breakdown_check(norm, col_norms[j]):
             raise RankDeficiencyError(
                 f"column {j} is numerically dependent on earlier columns",
                 column=j)
         r[j, j] = norm
-        q[:, j] = v / norm
+        q_cols[j][:] = v / norm
     return QrFactors(q=q, r=r)
 
 
@@ -180,18 +181,19 @@ def lu_solve(a, b) -> np.ndarray:
     b = _as_vector(b, n)
 
     lu = a.copy()
-    perm = np.arange(n)
-    scale = np.max(np.abs(a))
+    perm = list(range(n))
+    scale = np.abs(a).max()
     for j in range(n):
-        p = j + int(np.argmax(np.abs(lu[j:, j])))
+        p = j + int(np.abs(lu[j:, j]).argmax())
         if not breakdown_check(abs(lu[p, j]), scale):
             raise RankDeficiencyError(f"singular pivot at column {j}", column=j)
         if p != j:
-            lu[[j, p], :] = lu[[p, j], :]
-            perm[[j, p]] = perm[[p, j]]
+            row = lu[j].copy()
+            lu[j], lu[p] = lu[p], row
+            perm[j], perm[p] = perm[p], perm[j]
         lu[j + 1:, j] /= lu[j, j]
-        lu[j + 1:, j + 1:] -= np.outer(lu[j + 1:, j], lu[j, j + 1:])
-    growth = np.max(np.abs(np.triu(lu))) / scale if scale > 0 else 1.0
+        lu[j + 1:, j + 1:] -= lu[j + 1:, j, None] * lu[j, j + 1:]
+    growth = np.abs(np.triu(lu)).max() / scale if scale > 0 else 1.0
     if growth > _GROWTH_WARN:
         warnings.warn(
             f"large element growth ({growth:.2e}) in pivoted LU; "
@@ -236,7 +238,7 @@ def least_squares(a, b) -> LeastSquaresFit:
     except RankDeficiencyError:
         theta = np.linalg.lstsq(a, b, rcond=_BREAKDOWN_THRESHOLD)[0]
         deficient = True
-    residual = float(np.linalg.norm(b - a @ theta))
+    residual = _norm(b - a @ theta)
     return LeastSquaresFit(coefficients=theta, residual_norm=residual,
                            rank_deficient=deficient)
 

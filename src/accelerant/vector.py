@@ -14,7 +14,7 @@ breakdown handling follows the conventions of :mod:`accelerant.core`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ from .core import (
     _column_sweep,
     _frozen_array,
     _lozenge_rule,
+    _norm,
     _require_safe,
     breakdown_check,
     forward_difference,
@@ -142,7 +143,7 @@ class TeaWeight:
 
     def __post_init__(self):
         object.__setattr__(self, "y", _frozen_array(self.y, "y", 1))
-        if not np.any(self.y):
+        if not self.y.any():
             raise ValueError("the dual vector must be nonzero")
 
 
@@ -450,7 +451,8 @@ def tea(window: SequenceWindow, weight, k: int,
                         pilot_index_n=n)
     d1, d2 = d1_rows.T.copy(), d2_rows.T.copy()
     pair2 = y @ d2                       # (y, d2s_{n+j}) for j = 0..2k-2
-    t_matrix = np.array([[pair2[i + j] for i in range(k)] for j in range(k)])
+    offsets = np.arange(k)
+    t_matrix = pair2[offsets[:, None] + offsets]
     rhs = d1[:, :k].T @ y
     try:
         c = lu_solve(t_matrix, rhs)
@@ -511,8 +513,7 @@ def stea(window: SequenceWindow, weight, k: int, variant: int,
     e, current = pairings.rows(n0, 2 * k + 1)[:, 0], s_rows
     for level in range(k):
         c = 2 * (k - level) - 1
-        target = np.array([scalar_table.get_entry(2 * level + 2, n0 + j)
-                           for j in range(c)])
+        target = scalar_table.get_entries(2 * level + 2, n0, c)
         lo, hi = slice(variant - 1, variant - 1 + c), slice(variant, variant + c)
         # no check needed: building e_{2 level + 1}, which ``target``
         # reads, ran the same breakdown check on this same spread
@@ -554,6 +555,18 @@ class AndersonState:
         for name in ("iterates", "residuals"):
             object.__setattr__(self, name, tuple(
                 _frozen_array(x, name, 1) for x in getattr(self, name)))
+
+    def _advance(self, iterates: tuple, residuals: tuple,
+                 diagnostics: dict) -> "AndersonState":
+        """This state's successor, holding ``iterates`` and ``residuals``
+        as given: :func:`anderson_step` freezes and checks each new array
+        once, so they skip :meth:`__post_init__`."""
+        successor = object.__new__(type(self))
+        for name, value in (("depth", self.depth), ("damping", self.damping),
+                            ("iterates", iterates), ("residuals", residuals),
+                            ("diagnostics", diagnostics)):
+            object.__setattr__(successor, name, value)
+        return successor
 
     @classmethod
     def start(cls, x0, depth: int, damping: float = 1.0) -> "AndersonState":
@@ -607,17 +620,20 @@ def anderson_step(state: AndersonState, g_value):
         f_bar = f_k - d_f @ theta
     x_next = y_k + state.damping * f_bar
 
-    diag = {"residual_norm": float(np.linalg.norm(f_k)),
+    diag = {"residual_norm": _norm(f_k),
             "mixed_depth": float(m_k),
             "columns_dropped": float(dropped),
-            "y_norm": float(np.linalg.norm(y_k)),
-            "fbar_norm": float(np.linalg.norm(f_bar))}
+            "y_norm": _norm(y_k),
+            "fbar_norm": _norm(f_bar)}
     for j, th in enumerate(theta):
         diag[f"theta_{j}"] = float(th)
 
-    new_state = replace(
-        state,
-        iterates=(state.iterates + (x_next,))[-(state.depth + 1):],
-        residuals=residuals[max(0, len(residuals) - state.depth):],
-        diagnostics=diag)
-    return x_next, new_state
+    # only the new iterate and residual are copied and checked: the state's
+    # own arrays are already read-only and finite, and pass through as
+    # they are
+    x_next = _frozen_array(x_next, "iterates", 1)
+    f_k = _frozen_array(f_k, "residuals", 1)
+    return x_next, state._advance(
+        (state.iterates + (x_next,))[-(state.depth + 1):],
+        (state.residuals + (f_k,))[max(0, len(residuals) - state.depth):],
+        diag)

@@ -238,3 +238,65 @@ def e_recursion_per_entry(window, basis, k_max, keep_full=False):
 
     return per_entry_sweep(entries, base, ((_ADJACENT, gap, step),),
                            keep_full, last_column=k_max)
+
+
+# -- small-solve references --------------------------------------------------
+#
+# The library's small dense solves and the command line's componentwise scan
+# skip per-call overhead (argument wrappers, fancy-index row swaps, repeated
+# column views, a full scan).  These keep the plain forms, so tests can
+# require the same bits.
+
+
+def lu_solve_reference(a, b):
+    """``linalg.lu_solve`` with ``np.outer`` updates and fancy-index swaps."""
+    lu = np.array(a, dtype=np.float64, order="F").copy()
+    b = np.array(b, dtype=np.float64)
+    n = lu.shape[0]
+    perm = np.arange(n)
+    for j in range(n):
+        p = j + int(np.argmax(np.abs(lu[j:, j])))
+        if p != j:
+            lu[[j, p], :] = lu[[p, j], :]
+            perm[[j, p]] = perm[[p, j]]
+        lu[j + 1:, j] /= lu[j, j]
+        lu[j + 1:, j + 1:] -= np.outer(lu[j + 1:, j], lu[j, j + 1:])
+    c = b[perm]
+    y = np.zeros_like(c)
+    for i in range(n):
+        y[i] = c[i] - lu[i, :i] @ y[:i]
+    x = np.zeros(n)
+    for i in range(n - 1, -1, -1):
+        x[i] = (y[i] - lu[i, i + 1:] @ x[i + 1:]) / lu[i, i]
+    return x
+
+
+def qr_mgs_reference(a):
+    """``linalg.qr_mgs`` indexing ``q[:, i]`` afresh and taking
+    ``np.linalg.norm`` of each column."""
+    a = np.asarray(a, dtype=np.float64, order="F")
+    m, n = a.shape
+    q = np.zeros((m, n))
+    r = np.zeros((n, n))
+    for j in range(n):
+        v = a[:, j].copy()
+        for i in range(j):
+            r[i, j] = q[:, i] @ v
+            v -= r[i, j] * q[:, i]
+        for i in range(j):
+            c = q[:, i] @ v
+            r[i, j] += c
+            v -= c * q[:, i]
+        norm = np.linalg.norm(v)
+        r[j, j] = norm
+        q[:, j] = v / norm
+    return q, r
+
+
+def deepest_finite_forward(diagonal):
+    """Componentwise epsilon's estimate, scanning every even column from
+    column 0 down: the deepest finite entry wins, column 0 if none is."""
+    best = diagonal[0]
+    for candidate in diagonal[2::2]:
+        best = np.where(np.isfinite(candidate), candidate, best)
+    return best

@@ -13,6 +13,8 @@ from accelerant.driver import CSV_HEADER, FixedPointProblem
 from accelerant.problems import linear_iteration_generator
 from accelerant.scalar import epsilon_scalar
 
+import _oracles as oracles
+
 
 def run_cli(capsys, argv):
     code = cli.main(argv)
@@ -426,6 +428,20 @@ class TestComponentwiseEpsilon:
                         fallbacks += 1
                 assert accelerated[c] == expected, (steps, c)
         assert fallbacks > 0
+
+
+    def test_deepest_finite_scan_matches_the_full_scan(self):
+        rng = np.random.default_rng(7)
+        for length in range(1, 14):
+            for _ in range(20):
+                diagonal = [rng.standard_normal(9) for _ in range(length)]
+                for column in diagonal:
+                    column[rng.random(9) < rng.uniform(0.0, 0.8)] = np.nan
+                    column[rng.random(9) < 0.05] = -0.0
+                expected = oracles.deepest_finite_forward(diagonal)
+                got = cli._deepest_finite(diagonal)
+                assert np.array_equal(got.view(np.int64),
+                                      expected.view(np.int64))
 
 
 def test_module_entry_point_runs():

@@ -12,6 +12,7 @@ from accelerant.core import (
     Estimate,
     SequenceWindow,
     Tableau,
+    _norm,
     breakdown_check,
     forward_difference,
     push_term,
@@ -354,6 +355,151 @@ def test_vea_column_0_shares_the_window_rows():
     rows = window.rows(2, 4)
     for n in range(2, 6):
         assert np.shares_memory(table.get_entry(0, n), rows)
+
+
+# -- whole-column reads ------------------------------------------------------
+
+def _read(read):
+    """A read's value as float.hex strings, or its error's location."""
+    try:
+        value = read()
+    except BreakdownError as exc:
+        return "raises", exc.order_k, exc.index_n, str(exc)
+    return [float(x).hex() for x in np.atleast_1d(value)]
+
+
+def _run_reads_agree(table, k, n, count):
+    run = _read(lambda: table.get_entries(k, n, count))
+    entries = [_read(lambda m=m: table.get_entry(k, m))
+               for m in range(n, n + count)]
+    failed = [entry for entry in entries if entry[0] == "raises"]
+    assert run == (failed[0] if failed else sum(entries, []))
+    return bool(failed)
+
+
+@pytest.mark.parametrize("keep_full", [True, False])
+def test_column_read_matches_entry_reads(keep_full):
+    rng = np.random.default_rng(20261019)
+    raised = 0
+    for window in _scalar_windows(rng, 25):
+        base, length = window.base_index, len(window)
+        tables = [epsilon_scalar(window, keep_full), rho(window,
+                                                         keep_full=keep_full)]
+        if length >= 4:
+            tables.append(theta(window, keep_full))
+        for table in tables:
+            columns = range(-1, max(table.stored_columns()) + 2)
+            for k in columns:
+                for n in range(base - 1, base + length + 1):
+                    for count in (1, 2, 3, length - (n - base)):
+                        if count >= 1:
+                            raised += _run_reads_agree(table, k, n, count)
+    assert raised
+
+
+def test_column_read_of_a_run_is_read_only():
+    table = epsilon_scalar(SequenceWindow([1.0, 0.5, 0.8, 0.6, 0.7]),
+                           keep_full=True)
+    run = table.get_entries(2, 0, 3)
+    assert not run.flags.writeable
+    assert run.tolist() == [table.get_entry(2, n) for n in range(3)]
+    with pytest.raises(ValueError, match="count"):
+        table.get_entries(2, 0, 0)
+
+
+def test_column_read_raises_on_an_entry_flagged_after_storing():
+    t = Tableau(keep_full=True)
+    for n in range(4):
+        t.set_entry(0, n, float(n))
+    t.flag_breakdown(0, 2)
+    assert t.get_entries(0, 0, 2).tolist() == [0.0, 1.0]
+    for n, count in ((0, 4), (1, 2), (2, 1)):
+        with pytest.raises(BreakdownError, match="invalid") as run:
+            t.get_entries(0, n, count)
+        assert (run.value.order_k, run.value.index_n) == (0, 2)
+
+
+def test_column_read_raises_on_a_hole():
+    t = Tableau(keep_full=True)
+    t.set_entry(0, 2, 3.0)
+    t.set_entry(0, 0, 1.0)           # (0, 1) was never written
+    with pytest.raises(BreakdownError, match="not stored") as run:
+        t.get_entries(0, 0, 3)
+    assert (run.value.order_k, run.value.index_n) == (0, 1)
+    assert t.get_entries(0, 2, 1).tolist() == [3.0]
+
+
+def test_column_read_raises_where_the_entry_read_does():
+    # partial sums of a geometric series: column 2 is its limit, so the
+    # differences in column 3 vanish and every entry there breaks down
+    window = SequenceWindow(np.cumsum(0.5 ** np.arange(9)).tolist())
+    full = epsilon_scalar(window, keep_full=True)
+    assert (3, 0) in full.flagged_entries()
+    for count in (1, 4):
+        with pytest.raises(BreakdownError, match="invalid") as run:
+            full.get_entries(3, 0, count)
+        assert (run.value.order_k, run.value.index_n) == (3, 0)
+    # a run that reaches past the column's end fails at its first missing
+    # entry, as get_entry does
+    assert _run_reads_agree(full, 2, 3, 5)
+    # a rolling table has evicted column 0: not stored
+    rolling = epsilon_scalar(window)
+    assert 0 not in rolling.stored_columns()
+    with pytest.raises(BreakdownError, match="not stored") as run:
+        rolling.get_entries(0, 0, 3)
+    assert (run.value.order_k, run.value.index_n) == (0, 0)
+
+
+def test_swept_column_has_no_mask_exactly_when_no_entry_failed():
+    rng = np.random.default_rng(20261018)
+    masked = 0
+    for window in _scalar_windows(rng, 60):
+        tables = [epsilon_scalar(window, True), rho(window, keep_full=True)]
+        if len(window) >= 4:
+            tables.append(theta(window, True))
+        for table in tables:
+            flags = set(table.flagged_entries())
+            for k in table.stored_columns():
+                start, values, held = table._columns[k]
+                failed = [(k, start + i) in flags for i in range(len(values))]
+                if held is None:
+                    assert not any(failed)
+                else:
+                    masked += 1
+                    assert any(failed)
+                    assert held.tolist() == [not f for f in failed]
+    assert masked
+
+
+# -- the norm the driver's checks take ---------------------------------------
+
+@pytest.mark.parametrize("n", [1, 100, 6400, 20000])
+def test_norm_is_numpys_norm_bit_for_bit(n):
+    # a numpy release whose norm rounds differently fails here, rather than
+    # moving the driver's iteration counts without notice
+    rng = np.random.default_rng(n)
+    for scale in (1.0, 1e-150, 1e150):
+        for x in (rng.standard_normal(n) * scale,
+                  rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-5, 5, n)):
+            norm = float(np.linalg.norm(x)).hex()
+            assert math.sqrt(x @ x).hex() == norm
+            assert _norm(x).hex() == norm
+    # a square that overflows gives inf both ways, and numpy warns
+    x = rng.standard_normal(n) * 1e160
+    x[0] = 1e160
+    with np.errstate(over="ignore"):
+        assert math.sqrt(x @ x) == np.linalg.norm(x) == _norm(x) == math.inf
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        _norm(x)
+
+
+def test_window_from_an_array_keeps_its_rows_in_c_order():
+    terms = np.asfortranarray(np.arange(12.0).reshape(4, 3) ** 1.5)
+    window = SequenceWindow(terms, base_index=3)
+    rows = window.rows(3, 4)
+    assert rows.flags.c_contiguous and not rows.flags.writeable
+    assert np.array_equal(rows, SequenceWindow(list(terms)).rows(0, 4))
+    assert not np.shares_memory(rows, terms)
 
 
 # -- the column sweep against the per-entry reference ------------------------

@@ -14,7 +14,13 @@ from accelerant.linalg import (
 )
 from accelerant.linalg import _determinant
 
-from _oracles import cyclic_jacobi_eigenvalues
+from _oracles import cyclic_jacobi_eigenvalues, lu_solve_reference, \
+    qr_mgs_reference
+
+
+def _same_bits(x, y):
+    return np.array_equal(np.asarray(x).view(np.int64),
+                          np.asarray(y).view(np.int64))
 
 
 # -- qr_mgs ------------------------------------------------------------------
@@ -52,6 +58,16 @@ def test_qr_orthogonality_and_reconstruction(shape):
     assert np.max(np.abs(f.q.T @ f.q - np.eye(n))) <= 1e-10
     assert np.linalg.norm(a - f.q @ f.r) <= 1e-10 * np.linalg.norm(a)
     assert np.allclose(f.r, np.triu(f.r))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 3), (100, 5), (400, 6)])
+def test_qr_matches_the_plain_loop_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[0])
+    for layout in ("C", "F"):
+        a = np.array(rng.standard_normal(shape), order=layout)
+        q, r = qr_mgs_reference(a)
+        factors = qr_mgs(a)
+        assert _same_bits(factors.q, q) and _same_bits(factors.r, r)
 
 
 def test_qr_hard_case_orthogonality():
@@ -92,6 +108,22 @@ def test_lu_random_systems():
 def test_lu_needs_pivoting():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     np.testing.assert_allclose(lu_solve(a, np.array([2.0, 3.0])), [3.0, 2.0])
+
+
+def test_lu_matches_the_plain_elimination_bit_for_bit():
+    # the row swaps copy rows and the updates broadcast a product instead
+    # of np.outer: the arithmetic, and so every bit, is unchanged
+    rng = np.random.default_rng(2026)
+    for n in range(1, 9):
+        for _ in range(20):
+            a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-8, 8)
+            if n > 1 and rng.random() < 0.3:
+                a[0, 0] = 0.0  # a swap at the first column, always
+            for layout in ("C", "F"):
+                matrix = np.array(a, order=layout)
+                b = rng.standard_normal(n)
+                assert _same_bits(lu_solve(matrix, b),
+                                  lu_solve_reference(matrix, b))
 
 
 def test_lu_rhs_shape_mismatch():

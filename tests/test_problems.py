@@ -88,10 +88,6 @@ class TestLinearIterationGenerator:
         observed = (errors[60] / errors[50]) ** 0.1
         assert radius - 0.1 <= observed <= radius + 0.1
 
-    def test_edge_targets_are_python_ints(self):
-        graph = clustered_graph(50, 4, seed=5)
-        assert all(type(t) is int for out in graph.out_edges for t in out)
-
     def test_same_seed_is_deterministic(self):
         first = linear_iteration_generator(8, 0.4, seed=99)
         second = linear_iteration_generator(8, 0.4, seed=99)

@@ -678,6 +678,44 @@ class TestAndersonStep:
         with pytest.raises(ValueError):
             anderson_step(state, np.zeros(3))
 
+    def test_direct_construction_checks_every_array(self):
+        x = np.zeros(2)
+        with pytest.raises(ValueError, match="iterates must be finite"):
+            AndersonState(depth=1, damping=1.0,
+                          iterates=(np.array([np.nan, 0.0]),))
+        with pytest.raises(ValueError, match="residuals must be finite"):
+            AndersonState(depth=1, damping=1.0, iterates=(x, x),
+                          residuals=(np.array([0.0, np.inf]),))
+
+    def test_step_freezes_each_new_array_once(self):
+        rng = np.random.default_rng(31)
+        b_matrix = contraction(rng, 6, 0.8)
+        offset = rng.standard_normal(6)
+        for depth in (0, 1, 3):
+            state = AndersonState.start(np.zeros(6), depth=depth)
+            for _ in range(7):
+                before = state
+                x_next, state = anderson_step(
+                    state, b_matrix @ state.current + offset)
+                # the carried arrays are the previous state's own objects
+                for new, old in ((state.iterates, before.iterates),
+                                 (state.residuals, before.residuals)):
+                    carried = max(0, len(new) - 1)
+                    assert all(a is b for a, b in
+                               zip(new[:carried], old[len(old) - carried:]))
+                np.testing.assert_array_equal(state.current, x_next)
+                for array in state.iterates + state.residuals:
+                    assert not array.flags.writeable
+                    assert np.isfinite(array).all()
+
+    def test_nonfinite_map_value_is_rejected(self):
+        state = AndersonState.start(np.zeros(2), depth=2)
+        with pytest.raises(ValueError, match="finite"):
+            anderson_step(state, np.array([np.nan, 1.0]))
+        _, state = anderson_step(state, np.ones(2))
+        with pytest.raises(ValueError, match="finite"):
+            anderson_step(state, np.array([np.inf, 1.0]))
+
 
 # ---------------------------------------------------------------------------
 # residual-angle relations and solver equivalences on affine iterations
