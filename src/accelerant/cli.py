@@ -372,13 +372,9 @@ def _lozenge_update(diagonal: list, term) -> list:
 
 def _deepest_finite(diagonal: list) -> np.ndarray:
     """Per component, the deepest finite even-column entry of ``diagonal``
-    (column 0's where none is finite).
-
-    A breakdown turns a component NaN along with everything that reads
-    it.  The scan starts at the deepest even column and stops as soon as
-    no component is missing, so a table without breakdowns costs one
-    finiteness check.
-    """
+    (column 0's where none is).  A breakdown turns a component NaN along
+    with everything that reads it; the scan climbs from the deepest column
+    and stops once no component is missing."""
     evens = diagonal[::2]
     best = evens[-1]
     for candidate in reversed(evens[:-1]):

@@ -96,15 +96,10 @@ def _passes(size: np.ndarray, local_scale: np.ndarray) -> np.ndarray:
 
 
 def _norm(x: np.ndarray) -> float:
-    """The 2-norm of a contiguous 1-D float64 vector, ``sqrt(x . x)``.
-
-    ``np.linalg.norm`` runs this same dot and a correctly rounded square
-    root on such a vector, so the bits agree, without its argument
-    handling.  (A strided vector it would first copy to contiguous memory,
-    and the dot's rounding depends on the stride, so callers pass
-    contiguous vectors only.)  A square that overflows gives ``inf``, with
-    numpy's overflow warning, either way.
-    """
+    """``np.linalg.norm(x)`` of a contiguous 1-D float64 vector, bit for bit:
+    the same dot and a correctly rounded square root, without the argument
+    handling.  (norm copies a strided vector first, and a dot rounds by
+    stride, so callers pass contiguous vectors.)"""
     return math.sqrt(x.dot(x))
 
 
@@ -392,10 +387,9 @@ class Tableau:
         return float(values[i]) if values.ndim == 1 else values[i]
 
     def get_entries(self, k: int, n: int, count: int) -> np.ndarray:
-        """Entries (k, n) .. (k, n + count - 1) as one read-only slice of
-        column k, equal entry for entry to :meth:`get_entry`; raises the
-        BreakdownError :meth:`get_entry` raises on the first of them that
-        is flagged or not stored."""
+        """Entries (k, n) .. (k, n + count - 1) as a read-only slice of
+        column k; raises what :meth:`get_entry` raises on the first of them
+        that is flagged or not stored."""
         if count < 1:
             raise ValueError("count must be positive")
         start, values, held = self._columns.get(k, (n, (), None))

@@ -558,9 +558,8 @@ class AndersonState:
 
     def _advance(self, iterates: tuple, residuals: tuple,
                  diagnostics: dict) -> "AndersonState":
-        """This state's successor, holding ``iterates`` and ``residuals``
-        as given: :func:`anderson_step` freezes and checks each new array
-        once, so they skip :meth:`__post_init__`."""
+        """The successor holding ``iterates`` and ``residuals`` as given,
+        unchecked: :func:`anderson_step` has frozen its new arrays."""
         successor = object.__new__(type(self))
         for name, value in (("depth", self.depth), ("damping", self.damping),
                             ("iterates", iterates), ("residuals", residuals),
