@@ -471,12 +471,12 @@ def test_swept_column_has_no_mask_exactly_when_no_entry_failed():
     assert masked
 
 
-# -- the norm the driver's checks take ---------------------------------------
+# -- the norm that run_cycles' convergence tests take ------------------------
 
 @pytest.mark.parametrize("n", [1, 100, 6400, 20000])
 def test_norm_is_numpys_norm_bit_for_bit(n):
     # a numpy release whose norm rounds differently fails here, rather than
-    # moving the driver's iteration counts without notice
+    # moving run_cycles' iteration counts without notice
     rng = np.random.default_rng(n)
     for scale in (1.0, 1e-150, 1e150):
         for x in (rng.standard_normal(n) * scale,
