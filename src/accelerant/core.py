@@ -89,10 +89,16 @@ def breakdown_check(denominator: float, local_scale: float) -> bool:
     return abs(denominator) > _BREAKDOWN_THRESHOLD * max(local_scale, _TINY)
 
 
+#: The two constants as 0-d float64 arrays, which numpy combines with an
+#: array without first converting a Python float on every call.
+_THRESHOLD_0D = np.array(_BREAKDOWN_THRESHOLD)
+_TINY_0D = np.array(_TINY)
+
+
 def _passes(size: np.ndarray, local_scale: np.ndarray) -> np.ndarray:
     """:func:`breakdown_check` on denominator magnitudes and nonnegative
-    scales."""
-    return size > _BREAKDOWN_THRESHOLD * np.maximum(local_scale, _TINY)
+    float64 scales."""
+    return size > _THRESHOLD_0D * np.maximum(local_scale, _TINY_0D)
 
 
 def _norm(x: np.ndarray) -> float:

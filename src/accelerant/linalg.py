@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -193,12 +194,22 @@ def lu_solve(a, b) -> np.ndarray:
             perm[j], perm[p] = perm[p], perm[j]
         lu[j + 1:, j] /= lu[j, j]
         lu[j + 1:, j + 1:] -= lu[j + 1:, j, None] * lu[j, j + 1:]
-    growth = np.abs(np.triu(lu)).max() / scale if scale > 0 else 1.0
+    growth = (np.abs(lu).max(where=_upper_mask(n), initial=0.0) / scale
+              if scale > 0 else 1.0)
     if growth > _GROWTH_WARN:
         warnings.warn(
             f"large element growth ({growth:.2e}) in pivoted LU; "
             "the computed solution may be inaccurate", RuntimeWarning)
     return _solve_upper(lu, _solve_lower_unit(lu, b[perm]))
+
+
+@lru_cache(maxsize=64)
+def _upper_mask(n: int) -> np.ndarray:
+    """The read-only upper-triangle mask of an n x n matrix: the entries
+    ``np.triu`` keeps, without its per-call ``np.tri``."""
+    mask = np.triu(np.ones((n, n), dtype=bool))
+    mask.setflags(write=False)
+    return mask
 
 
 def _determinant(a) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
@@ -86,6 +87,8 @@ class SparseGraph:
 
     ``original_ids`` maps each compact id back to the label it carried in
     the source data (identity for programmatically built graphs).
+    ``edge_targets`` and ``out_degrees`` are read-only arrays built once,
+    when the graph is; equality and hashing see the three fields alone.
     """
 
     node_count: int
@@ -109,18 +112,23 @@ class SparseGraph:
                         if not 0 <= t < self.node_count)
             raise ValueError(f"edge target {node} out of range")
 
-    @property
+    @cached_property
     def edge_targets(self) -> np.ndarray:
         """Every edge's target as one flat array, in source-node order."""
-        return np.fromiter(chain.from_iterable(self.out_edges), dtype=int)
+        targets = np.fromiter(chain.from_iterable(self.out_edges), dtype=int)
+        targets.setflags(write=False)
+        return targets
 
-    @property
+    @cached_property
     def out_degrees(self) -> np.ndarray:
-        return np.array([len(t) for t in self.out_edges], dtype=int)
+        degrees = np.fromiter(map(len, self.out_edges), dtype=int,
+                              count=self.node_count)
+        degrees.setflags(write=False)
+        return degrees
 
     @property
     def edge_count(self) -> int:
-        return sum(len(t) for t in self.out_edges)
+        return int(self.edge_targets.size)
 
     @classmethod
     def from_edges(cls, node_count: int,
@@ -407,7 +415,11 @@ def pagerank(graph: SparseGraph, alpha: float = 0.85,
     P is the column-stochastic transition matrix of the graph; columns of
     dangling nodes (no out-edges) are replaced by the personalization
     vector v, and every iterate is renormalized to sum exactly one.  The
-    map is applied edge-wise, so the dense matrix is never formed.
+    dense matrix is never formed: each call takes one product
+    x_j / deg(j) per node, repeats it along that node's out-edges and
+    scatters the edges onto their targets with one ``np.bincount``.  A
+    graph without dangling nodes skips the dangling term, which would add
+    +0.0 to sums that are never -0.0.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -426,21 +438,28 @@ def pagerank(graph: SparseGraph, alpha: float = 0.85,
         v = v / total
     v.setflags(write=False)
 
-    degrees = graph.out_degrees
-    sources = np.repeat(np.arange(n), degrees)
-    targets = graph.edge_targets
+    # private writable copies: np.bincount and np.repeat copy a read-only
+    # index array on every call
+    degrees = graph.out_degrees.copy()
+    targets = graph.edge_targets.copy()
     inverse_degree = np.zeros(n)
     linked = degrees > 0
     inverse_degree[linked] = 1.0 / degrees[linked]
-    edge_weight = inverse_degree[sources]
     dangling = ~linked
+    any_dangling = bool(dangling.any())
+    teleport = (1.0 - alpha) * v
 
     def apply_map(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        spread = np.bincount(targets, weights=x[sources] * edge_weight,
+        # each edge carries its source's x_j / deg(j), the product the
+        # per-edge gather formed, so the scatter sums the same bits
+        spread = np.bincount(targets,
+                             weights=np.repeat(x * inverse_degree, degrees),
                              minlength=n)
-        dangling_mass = float(x[dangling].sum())
-        nxt = alpha * (spread + dangling_mass * v) + (1.0 - alpha) * v
+        if any_dangling:
+            # out of place: with no edges at all, bincount returns int zeros
+            spread = spread + float(x[dangling].sum()) * v
+        nxt = alpha * spread + teleport
         return nxt / nxt.sum()
 
     return FixedPointProblem(dimension=n, mapping=apply_map, initial_guess=v)

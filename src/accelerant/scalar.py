@@ -308,7 +308,7 @@ _THETA_EVEN = ((1, 0), (1, 1), (1, 2), (2, 1), (2, 2))
 
 
 def _inverse_step(k, d, size, a, b, back):
-    return back + 1.0 / d
+    return back + np.reciprocal(d)  # 1.0 / d, without the float's conversion
 
 
 #: The inverse-difference lozenge column of epsilon and of theta's odd step.

@@ -1,5 +1,7 @@
 """Tests for the dense linear-algebra kernels."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from accelerant.linalg import (
     lu_solve,
     qr_mgs,
 )
-from accelerant.linalg import _determinant
+from accelerant.linalg import _determinant, _upper_mask
 
 from _oracles import cyclic_jacobi_eigenvalues, lu_solve_reference, \
     qr_mgs_reference
@@ -124,6 +126,39 @@ def test_lu_matches_the_plain_elimination_bit_for_bit():
                 b = rng.standard_normal(n)
                 assert _same_bits(lu_solve(matrix, b),
                                   lu_solve_reference(matrix, b))
+
+
+def test_lu_growth_mask_takes_the_triu_maximum_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for n in range(1, 9):
+        for _ in range(20):
+            a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-8, 8)
+            # near-singular: a rank-one matrix plus a tiny perturbation
+            u, v = rng.standard_normal(n), rng.standard_normal(n)
+            near = np.outer(u, v) + 1e-13 * rng.standard_normal((n, n))
+            for m in (a, near, -np.abs(a)):
+                expected = np.abs(np.triu(m)).max()
+                got = np.abs(m).max(where=_upper_mask(n), initial=0.0)
+                assert _same_bits(got, expected)
+    assert _upper_mask(4) is _upper_mask(4)
+    assert not _upper_mask(4).flags.writeable
+
+
+def _wilkinson(n):
+    """Partial pivoting's worst case: unit diagonal, -1 below it and a last
+    column of ones; U's last column grows to 2**(n-1)."""
+    a = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    a[:, -1] = 1.0
+    return a
+
+
+def test_lu_warns_on_large_element_growth():
+    b = np.ones(28)
+    with pytest.warns(RuntimeWarning, match=r"large element growth \(1\.34e\+08\)"):
+        lu_solve(_wilkinson(28), b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lu_solve(_wilkinson(27), b[:27])  # growth 6.7e7, under the 1e8 limit
 
 
 def test_lu_rhs_shape_mismatch():

@@ -297,22 +297,54 @@ class TestPagerank:
         SparseGraph.from_edges(6, [(0, 1), (0, 1), (0, 2), (1, 0), (2, 2),
                                    (2, 0), (4, 1), (4, 1)]),
         SparseGraph.from_edges(3, []),
-    ], ids=["clustered", "dangling-parallel", "no-edges"])
+        # out-degrees 3, 1, 2, 4 and 1, no node dangles, and nodes 3 and 4
+        # have no in-edges
+        SparseGraph.from_edges(5, [(0, 1), (0, 1), (0, 2), (1, 0), (2, 2),
+                                   (2, 0), (3, 0), (3, 1), (3, 1), (3, 2),
+                                   (4, 2)]),
+    ], ids=["clustered", "dangling-parallel", "no-edges", "uneven-no-dangling"])
     def test_map_matches_add_at_scatter_bit_for_bit(self, graph):
+        def same_bits(x, y):
+            return x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
         rng = np.random.default_rng(5)
         n = graph.node_count
         for personalization in (None, rng.uniform(0.5, 1.5, n)):
             problem = pagerank(graph, alpha=0.85,
                                personalization=personalization)
             reference = add_at_surfer_map(graph, 0.85, problem.initial_guess)
+            # extrapolated points leave the simplex: signed entries, -0.0
+            signed = rng.standard_normal(n)
+            signed[::2] = -0.0
             for x in (rng.uniform(0.0, 1.0, n),
-                      *rng.dirichlet(np.ones(n), size=3)):
-                assert np.array_equal(problem.mapping(x), reference(x))
+                      *rng.dirichlet(np.ones(n), size=3),
+                      rng.standard_normal(n) + 1.0 / n, signed):
+                assert same_bits(problem.mapping(x), reference(x))
         state = problem.initial_guess
         for _ in range(30):
             nxt = problem.mapping(state)
-            assert np.array_equal(nxt, reference(state))
+            assert same_bits(nxt, reference(state))
             state = nxt
+
+    def test_graph_arrays_are_built_once_and_read_only(self):
+        graph = SparseGraph.from_edges(4, [(0, 1), (0, 2), (2, 0), (3, 3)])
+        assert graph.edge_targets is graph.edge_targets
+        assert graph.out_degrees is graph.out_degrees
+        assert graph.edge_targets.tolist() == [1, 2, 0, 3]
+        assert graph.out_degrees.tolist() == [2, 0, 1, 1]
+        assert graph.edge_count == 4
+        for array in (graph.edge_targets, graph.out_degrees):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        # equality and hashing see the fields, not the cached arrays: the
+        # twin has not built its degrees yet
+        twin = SparseGraph.from_edges(4, [(0, 1), (0, 2), (2, 0), (3, 3)])
+        assert "out_degrees" in vars(graph)
+        assert "out_degrees" not in vars(twin)
+        assert graph == twin and hash(graph) == hash(twin)
+        assert graph != SparseGraph.from_edges(4, [(0, 1), (0, 2), (2, 0)])
+        assert "edge_targets" not in repr(graph)
 
     @pytest.mark.parametrize("bad", [-1, 3, 2**70])
     def test_out_of_range_target_is_rejected(self, bad):
