@@ -10,7 +10,7 @@ may share them across threads.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
 from typing import Callable, Optional, Sequence
@@ -129,6 +129,11 @@ class SparseGraph:
     @property
     def edge_count(self) -> int:
         return int(self.edge_targets.size)
+
+    def __getstate__(self) -> dict:
+        # the fields alone: an unpickled array is writeable, so the cached
+        # arrays are rebuilt, read-only, on first use instead
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_edges(cls, node_count: int,
@@ -451,8 +456,8 @@ def pagerank(graph: SparseGraph, alpha: float = 0.85,
 
     def apply_map(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        # each edge carries its source's x_j / deg(j), the product the
-        # per-edge gather formed, so the scatter sums the same bits
+        # every edge of node j weighs the one product x_j / deg(j), so the
+        # sums round exactly as with a product formed per edge
         spread = np.bincount(targets,
                              weights=np.repeat(x * inverse_degree, degrees),
                              minlength=n)

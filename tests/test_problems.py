@@ -1,7 +1,9 @@
 """Tests for the benchmark problem generators."""
 
+import copy
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -345,6 +347,12 @@ class TestPagerank:
         assert graph == twin and hash(graph) == hash(twin)
         assert graph != SparseGraph.from_edges(4, [(0, 1), (0, 2), (2, 0)])
         assert "edge_targets" not in repr(graph)
+        for restored in (pickle.loads(pickle.dumps(graph)),
+                         copy.deepcopy(graph)):
+            assert restored == graph
+            assert restored.edge_targets.tolist() == [1, 2, 0, 3]
+            assert not restored.edge_targets.flags.writeable
+            assert not restored.out_degrees.flags.writeable
 
     @pytest.mark.parametrize("bad", [-1, 3, 2**70])
     def test_out_of_range_target_is_rejected(self, bad):
