@@ -154,7 +154,8 @@ def _wilkinson(n):
 
 def test_lu_warns_on_large_element_growth():
     b = np.ones(28)
-    with pytest.warns(RuntimeWarning, match=r"large element growth \(1\.34e\+08\)"):
+    message = r"large element growth \(1\.34e\+08\)"
+    with pytest.warns(RuntimeWarning, match=message):
         lu_solve(_wilkinson(28), b)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -304,7 +304,8 @@ class TestPagerank:
         SparseGraph.from_edges(5, [(0, 1), (0, 1), (0, 2), (1, 0), (2, 2),
                                    (2, 0), (3, 0), (3, 1), (3, 1), (3, 2),
                                    (4, 2)]),
-    ], ids=["clustered", "dangling-parallel", "no-edges", "uneven-no-dangling"])
+    ], ids=["clustered", "dangling-parallel", "no-edges",
+            "uneven-no-dangling"])
     def test_map_matches_add_at_scatter_bit_for_bit(self, graph):
         def same_bits(x, y):
             return x.dtype == y.dtype and x.tobytes() == y.tobytes()
