@@ -10,9 +10,7 @@ may share them across threads.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
-from functools import cached_property
-from itertools import chain
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -81,70 +79,72 @@ class LinearIteration:
                                  initial_guess=start, solution=self.solution)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseGraph:
-    """A directed graph as out-edge lists over node ids 0 .. N-1.
+    """A directed graph over node ids 0 .. N-1, held in compressed rows.
 
+    ``edge_targets`` lists every edge's target, node-major: node 0's
+    targets, then node 1's, and so on.  ``out_degrees[j]`` counts node j's
+    edges.  The constructor checks both and keeps read-only int64 copies.
     ``original_ids`` maps each compact id back to the label it carried in
     the source data (identity for programmatically built graphs).
-    ``edge_targets`` and ``out_degrees`` are read-only arrays built once,
-    when the graph is; equality and hashing see the three fields alone.
+
+    Graphs compare by identity.  A pickled or copied graph is rebuilt
+    through the constructor, so it comes back checked and read-only.
     """
 
     node_count: int
-    out_edges: tuple[tuple[int, ...], ...]
+    edge_targets: np.ndarray
+    out_degrees: np.ndarray
     original_ids: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.node_count < 1:
+        n = self.node_count
+        if n < 1:
             raise ValueError("graph needs at least one node")
-        if len(self.out_edges) != self.node_count:
-            raise ValueError("one out-edge list per node is required")
-        if len(self.original_ids) != self.node_count:
+        if len(self.original_ids) != n:
             raise ValueError("one original id per node is required")
-        try:
-            targets = self.edge_targets
-            valid = np.all((targets >= 0) & (targets < self.node_count))
-        except OverflowError:  # a target beyond the integer dtype's range
-            valid = False
-        if not valid:
-            node = next(t for out in self.out_edges for t in out
-                        if not 0 <= t < self.node_count)
-            raise ValueError(f"edge target {node} out of range")
-
-    @cached_property
-    def edge_targets(self) -> np.ndarray:
-        """Every edge's target as one flat array, in source-node order."""
-        targets = np.fromiter(chain.from_iterable(self.out_edges), dtype=int)
-        targets.setflags(write=False)
-        return targets
-
-    @cached_property
-    def out_degrees(self) -> np.ndarray:
-        degrees = np.fromiter(map(len, self.out_edges), dtype=int,
-                              count=self.node_count)
-        degrees.setflags(write=False)
-        return degrees
+        # range checks first: Python ints too wide for int64 make an object
+        # array, which still compares exactly
+        degrees = np.asarray(self.out_degrees)
+        targets = np.asarray(self.edge_targets)
+        if degrees.shape != (n,) or (degrees < 0).any():
+            raise ValueError("one nonnegative out-degree per node is required")
+        if targets.shape != (degrees.sum(),):
+            raise ValueError("one edge target per counted out-edge is required")
+        outside = (targets < 0) | (targets >= n)
+        if outside.any():
+            raise ValueError(f"edge target {targets[outside][0]} out of range")
+        for name, array in (("edge_targets", targets),
+                            ("out_degrees", degrees)):
+            if array.size and array.dtype.kind not in "iu":
+                raise ValueError(f"{name} must hold integers")
+            array = array.astype(np.int64)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def edge_count(self) -> int:
         return int(self.edge_targets.size)
 
-    def __getstate__(self) -> dict:
-        # the fields alone: an unpickled array is writeable, so the cached
-        # arrays are rebuilt, read-only, on first use instead
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    def __reduce__(self):
+        return (type(self), (self.node_count, self.edge_targets,
+                             self.out_degrees, self.original_ids))
 
     @classmethod
     def from_edges(cls, node_count: int,
                    edges: Sequence[tuple[int, int]]) -> "SparseGraph":
-        lists: list[list[int]] = [[] for _ in range(node_count)]
-        for src, dst in edges:
-            if not (0 <= src < node_count and 0 <= dst < node_count):
-                raise ValueError(f"edge ({src}, {dst}) out of range")
-            lists[src].append(dst)
+        """Group ``(source, target)`` pairs by source with one stable sort,
+        so each node keeps its edges in the order given."""
+        pairs = np.reshape(edges, (len(edges), 2))
+        outside = ((pairs < 0) | (pairs >= node_count)).any(axis=1)
+        if outside.any():
+            edge = tuple(pairs[outside][0].tolist())
+            raise ValueError(f"edge {edge} out of range")
+        sources = pairs[:, 0].astype(np.int64)
         return cls(node_count=node_count,
-                   out_edges=tuple(tuple(t) for t in lists),
+                   edge_targets=pairs[np.argsort(sources, kind="stable"), 1],
+                   out_degrees=np.bincount(sources, minlength=node_count),
                    original_ids=tuple(range(node_count)))
 
 
@@ -498,9 +498,8 @@ def clustered_graph(n: int, avg_deg: int, seed: int) -> SparseGraph:
     to_second[::4, -1] ^= True
     draws = rng.integers(np.where(to_second, split, 0),
                          np.where(to_second, n, split))
-    # row by row, so the whole nested list never exists at once
-    targets = map(np.ndarray.tolist, draws)
-    return SparseGraph(node_count=n, out_edges=tuple(map(tuple, targets)),
+    return SparseGraph(node_count=n, edge_targets=draws.reshape(-1),
+                       out_degrees=np.full(n, avg_deg),
                        original_ids=tuple(range(n)))
 
 
@@ -531,14 +530,9 @@ def load_edge_list(path) -> SparseGraph:
             edges.append((src, dst))
     if not edges:
         raise ValueError(f"{path}: no edges found (empty graph)")
-    labels = sorted({node for edge in edges for node in edge})
-    compact = {label: index for index, label in enumerate(labels)}
-    lists: list[list[int]] = [[] for _ in labels]
-    for src, dst in edges:
-        lists[compact[src]].append(compact[dst])
-    return SparseGraph(node_count=len(labels),
-                       out_edges=tuple(tuple(t) for t in lists),
-                       original_ids=tuple(labels))
+    labels, compact = np.unique(np.array(edges), return_inverse=True)
+    graph = SparseGraph.from_edges(labels.size, compact.reshape(-1, 2))
+    return replace(graph, original_ids=tuple(labels.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accelerant.problems import (
     FredholmDiscretization,
@@ -274,10 +276,9 @@ def add_at_surfer_map(graph, alpha, v):
     """The surfer map gathering each edge's weight on every call and
     scattering through a zero-filled buffer and np.add.at."""
     n = graph.node_count
-    sources = np.array([s for s, out in enumerate(graph.out_edges)
-                        for _ in out], dtype=int)
-    targets = np.array([t for out in graph.out_edges for t in out], dtype=int)
     degrees = graph.out_degrees
+    sources = np.repeat(np.arange(n), degrees)
+    targets = graph.edge_targets
     inverse_degree = np.zeros(n)
     inverse_degree[degrees > 0] = 1.0 / degrees[degrees > 0]
     dangling = degrees == 0
@@ -330,28 +331,31 @@ class TestPagerank:
             state = nxt
 
     def test_graph_arrays_are_built_once_and_read_only(self):
-        graph = SparseGraph.from_edges(4, [(0, 1), (0, 2), (2, 0), (3, 3)])
-        assert graph.edge_targets is graph.edge_targets
-        assert graph.out_degrees is graph.out_degrees
-        assert graph.edge_targets.tolist() == [1, 2, 0, 3]
+        # sources out of order: each node keeps its edges in the given order
+        edges = [(3, 3), (0, 2), (2, 0), (0, 1)]
+        graph = SparseGraph.from_edges(4, edges)
+        assert graph.edge_targets.tolist() == [2, 1, 0, 3]
         assert graph.out_degrees.tolist() == [2, 0, 1, 1]
         assert graph.edge_count == 4
         for array in (graph.edge_targets, graph.out_degrees):
+            assert array.dtype == np.int64
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
-        # equality and hashing see the fields, not the cached arrays: the
-        # twin has not built its degrees yet
-        twin = SparseGraph.from_edges(4, [(0, 1), (0, 2), (2, 0), (3, 3)])
-        assert "out_degrees" in vars(graph)
-        assert "out_degrees" not in vars(twin)
-        assert graph == twin and hash(graph) == hash(twin)
-        assert graph != SparseGraph.from_edges(4, [(0, 1), (0, 2), (2, 0)])
-        assert "edge_targets" not in repr(graph)
+        # the constructor copies: the caller's arrays stay its own
+        targets, degrees = np.array([1, 0]), np.array([1, 1])
+        built = SparseGraph(2, targets, degrees, (0, 1))
+        targets[0] = 0
+        assert built.edge_targets.tolist() == [1, 0]
+        assert targets.flags.writeable and degrees.flags.writeable
+        # a pickled or copied graph is rebuilt through the constructor
         for restored in (pickle.loads(pickle.dumps(graph)),
                          copy.deepcopy(graph)):
-            assert restored == graph
-            assert restored.edge_targets.tolist() == [1, 2, 0, 3]
+            assert restored is not graph
+            assert restored.node_count == 4
+            assert restored.original_ids == graph.original_ids
+            assert restored.edge_targets.tolist() == [2, 1, 0, 3]
+            assert restored.out_degrees.tolist() == [2, 0, 1, 1]
             assert not restored.edge_targets.flags.writeable
             assert not restored.out_degrees.flags.writeable
 
@@ -359,8 +363,28 @@ class TestPagerank:
     def test_out_of_range_target_is_rejected(self, bad):
         message = f"edge target {bad} out of range"
         with pytest.raises(ValueError, match=message):
-            SparseGraph(node_count=3, out_edges=((1, 2), (), (0, bad)),
-                        original_ids=(0, 1, 2))
+            SparseGraph(node_count=3, edge_targets=[1, 2, 0, bad],
+                        out_degrees=[2, 0, 2], original_ids=(0, 1, 2))
+
+    @pytest.mark.parametrize("degrees, message", [
+        ([2, 0], "one nonnegative out-degree per node"),
+        ([[2, 0, 2]], "one nonnegative out-degree per node"),
+        ([2, 1, 2], "one edge target per counted out-edge"),
+        ([3, -1, 2], "one nonnegative out-degree per node"),
+        ([2.0, 0.0, 2.0], "out_degrees must hold integers"),
+        ([2, 0, 2**70], "one edge target per counted out-edge"),
+    ])
+    def test_bad_degree_arrays_are_rejected(self, degrees, message):
+        with pytest.raises(ValueError, match=message):
+            SparseGraph(node_count=3, edge_targets=[1, 2, 0, 1],
+                        out_degrees=degrees, original_ids=(0, 1, 2))
+
+    @pytest.mark.parametrize("edges", [[(0, 3)], [(-1, 0)], [(0, 2**70)]])
+    def test_out_of_range_edge_is_rejected(self, edges):
+        src, dst = edges[0]
+        with pytest.raises(ValueError,
+                           match=rf"edge \({src}, {dst}\) out of range"):
+            SparseGraph.from_edges(3, edges)
 
     def test_single_node(self):
         graph = SparseGraph.from_edges(1, [])
@@ -418,6 +442,65 @@ class TestPagerank:
             pagerank(graph, personalization=[1.0, bad])
 
 
+def grouped_by_source(node_count, edges):
+    """Per-node target lists, each in the order the edges were given."""
+    lists = [[] for _ in range(node_count)]
+    for src, dst in edges:
+        lists[src].append(dst)
+    return lists
+
+
+# labels as an edge file may carry them: sparse, negative, or beyond int64
+node_labels = st.one_of(st.integers(-20, 20), st.integers(-2**70, 2**70))
+
+
+def sized_edge_lists(max_nodes=12, max_edges=40):
+    return st.integers(1, max_nodes).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
+                                       st.integers(0, n - 1)),
+                             max_size=max_edges)))
+
+
+class TestGraphFormat:
+    @given(edges=st.lists(st.tuples(node_labels, node_labels),
+                          min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_from_edges_and_load_edge_list_agree(self, tmp_path_factory,
+                                                 edges):
+        path = tmp_path_factory.mktemp("edges") / "graph.txt"
+        path.write_text("".join(f"{s} {d}\n" for s, d in edges))
+        loaded = load_edge_list(path)
+
+        labels = sorted({label for edge in edges for label in edge})
+        index = {label: i for i, label in enumerate(labels)}
+        compact = [(index[s], index[d]) for s, d in edges]
+        built = SparseGraph.from_edges(len(labels), compact)
+        lists = grouped_by_source(len(labels), compact)
+        assert loaded.original_ids == tuple(labels)
+        assert built.original_ids == tuple(range(len(labels)))
+        for graph in (loaded, built):
+            assert graph.node_count == len(labels)
+            assert graph.edge_targets.tolist() == sum(lists, [])
+            assert graph.out_degrees.tolist() == list(map(len, lists))
+
+    @given(case=sized_edge_lists(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_pagerank_matches_add_at_reference_bit_for_bit(self, case, seed):
+        n, edges = case
+        graph = SparseGraph.from_edges(n, edges)
+        lists = grouped_by_source(n, edges)
+        assert graph.edge_targets.tolist() == sum(lists, [])
+        assert graph.out_degrees.tolist() == list(map(len, lists))
+        rng = np.random.default_rng(seed)
+        for personalization in (None, rng.uniform(0.5, 1.5, n)):
+            problem = pagerank(graph, personalization=personalization)
+            reference = add_at_surfer_map(graph, 0.85, problem.initial_guess)
+            for x in (rng.uniform(0.0, 1.0, n), rng.dirichlet(np.ones(n))):
+                got, want = problem.mapping(x), reference(x)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+
 class TestClusteredGraph:
     def test_degrees_are_exact(self):
         graph = clustered_graph(100, 8, seed=3)
@@ -428,20 +511,21 @@ class TestClusteredGraph:
         n = 200
         split = (6 * n) // 10
         graph = clustered_graph(n, 8, seed=11)
-        for node, targets in enumerate(graph.out_edges):
-            crossings = sum((t >= split) != (node >= split) for t in targets)
-            assert crossings == (1 if node % 4 == 0 else 0)
-
-    def test_edge_targets_are_python_ints(self):
-        graph = clustered_graph(50, 4, seed=5)
-        assert all(type(t) is int for out in graph.out_edges for t in out)
+        sources = np.repeat(np.arange(n), graph.out_degrees)
+        crossing = (graph.edge_targets >= split) != (sources >= split)
+        expected = (np.arange(n) % 4 == 0).astype(int)
+        assert np.bincount(sources[crossing], minlength=n).tolist() \
+            == expected.tolist()
 
     @pytest.mark.parametrize("n", [4, 5, 7, 123])
     def test_single_draw_matches_per_node_loop(self, n):
         for avg_deg in (2, 3, 17):
             for seed in (42, 1009):
-                assert clustered_graph(n, avg_deg, seed).out_edges == \
-                    clustered_graph_per_node(n, avg_deg, seed)
+                graph = clustered_graph(n, avg_deg, seed)
+                per_node = clustered_graph_per_node(n, avg_deg, seed)
+                assert graph.out_degrees.tolist() == list(map(len, per_node))
+                assert graph.edge_targets.tolist() == \
+                    np.concatenate(per_node).tolist()
 
     def test_benchmark_graph_is_pinned(self):
         # sha256 of pagerank20k's graph, recorded from the per-node loop: a
@@ -452,8 +536,11 @@ class TestClusteredGraph:
                           "4a23d14c810aab3d21784a07faeaee1b")
 
     def test_same_seed_is_deterministic(self):
-        assert clustered_graph(60, 5, seed=9) == clustered_graph(60, 5, seed=9)
-        assert clustered_graph(60, 5, seed=9) != clustered_graph(60, 5, seed=10)
+        def targets(seed):
+            return clustered_graph(60, 5, seed).edge_targets.tolist()
+
+        assert targets(9) == targets(9)
+        assert targets(9) != targets(10)
 
     def test_mixing_is_slow_compared_to_uniform_attachment(self):
         # The weak inter-cluster coupling should leave a second eigenvalue
@@ -483,7 +570,8 @@ class TestLoadEdgeList:
         graph = load_edge_list(path)
         assert graph.node_count == 2
         assert graph.edge_count == 2
-        assert graph.out_edges == ((1,), (0,))
+        assert graph.edge_targets.tolist() == [1, 0]
+        assert graph.out_degrees.tolist() == [1, 1]
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "snap.txt"
@@ -498,7 +586,8 @@ class TestLoadEdgeList:
         graph = load_edge_list(path)
         assert graph.node_count == 2
         assert graph.original_ids == (5, 9)
-        assert graph.out_edges == ((1,), ())
+        assert graph.edge_targets.tolist() == [1]
+        assert graph.out_degrees.tolist() == [1, 0]
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "broken.txt"
