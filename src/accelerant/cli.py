@@ -225,6 +225,9 @@ def _cycle_config(args, method: str, dimension: int) -> CycleConfig:
     warmup = args.p
     test_vectors = None
     if method in _TEST_BASIS_METHODS:
+        if args.m > dimension:
+            raise ValueError(f"--m {args.m} exceeds the problem dimension "
+                             f"{dimension}: {method} needs --m <= {dimension}")
         if warmup is None:
             warmup = _TEST_BASIS_WARMUP
         rng = np.random.default_rng(args.seed)

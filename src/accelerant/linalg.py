@@ -233,22 +233,23 @@ def _determinant(a) -> float:
 def least_squares(a, b) -> LeastSquaresFit:
     """Minimize ||b - A theta||_2 via MGS QR.
 
-    When QR reports rank deficiency, LAPACK's ``np.linalg.lstsq`` returns
-    the minimum-norm solution instead, cutting singular values at the
-    same relative 1e-12 as the breakdown check, and the result is flagged.
+    When A is wider than tall or QR reports rank deficiency, LAPACK's
+    ``np.linalg.lstsq`` returns the minimum-norm solution instead, cutting
+    singular values at the same relative 1e-12 as the breakdown check, and
+    the result is flagged.
     """
     a = _as_matrix(a)
     m, n = a.shape
     b = _as_vector(b, m)
-    if m < n:
-        raise ValueError("least_squares requires rows >= cols")
-    try:
-        f = qr_mgs(a)
-        theta = _solve_upper(f.r, f.q.T @ b)
-        deficient = False
-    except RankDeficiencyError:
+    deficient = m < n  # never of full column rank
+    if not deficient:
+        try:
+            f = qr_mgs(a)
+            theta = _solve_upper(f.r, f.q.T @ b)
+        except RankDeficiencyError:
+            deficient = True
+    if deficient:
         theta = np.linalg.lstsq(a, b, rcond=_BREAKDOWN_THRESHOLD)[0]
-        deficient = True
     residual = _norm(b - a @ theta)
     return LeastSquaresFit(coefficients=theta, residual_norm=residual,
                            rank_deficient=deficient)

@@ -587,10 +587,9 @@ def anderson_step(state: AndersonState, g_value):
         x_{k+1} = (x_k - dX theta) + damping (F_k - dF theta).
 
     With an empty history (or depth zero) this is the damped fixed-point
-    update.  The fit mixes at most N differences, so a history deeper than
-    the dimension sheds its oldest columns first, and a rank-deficient
-    difference matrix sheds more until the fit is well posed; the count
-    appears in the diagnostics.
+    update.  A rank-deficient difference matrix sheds its oldest columns
+    until the fit is well posed, so a history deeper than the dimension
+    mixes at most N differences; the count appears in the diagnostics.
     """
     x_k = state.current
     g_arr = np.asarray(g_value, dtype=np.float64)
@@ -598,9 +597,8 @@ def anderson_step(state: AndersonState, g_value):
         raise ValueError("mapped value dimension does not match the iterate")
     f_k = g_arr - x_k
     residuals = state.residuals + (f_k,)
-    dropped = max(0, len(state.residuals) - x_k.size)
-    m_k = len(state.residuals) - dropped
-    xs, fs = state.iterates[dropped:], residuals[dropped:]
+    m_k = len(state.residuals)
+    xs, fs = state.iterates, residuals
     theta = np.zeros(0)
     while m_k > 0:
         d_f = np.column_stack([fs[j + 1] - fs[j] for j in range(m_k)])
@@ -608,7 +606,6 @@ def anderson_step(state: AndersonState, g_value):
         if not fit.rank_deficient:
             theta = fit.coefficients
             break
-        dropped += 1
         m_k -= 1
         xs, fs = xs[1:], fs[1:]
     if m_k == 0:
@@ -621,7 +618,7 @@ def anderson_step(state: AndersonState, g_value):
 
     diag = {"residual_norm": _norm(f_k),
             "mixed_depth": float(m_k),
-            "columns_dropped": float(dropped),
+            "columns_dropped": float(len(state.residuals) - m_k),
             "y_norm": _norm(y_k),
             "fbar_norm": _norm(f_bar)}
     for j, th in enumerate(theta):

@@ -9,8 +9,18 @@ import pytest
 
 from accelerant import cli
 from accelerant.core import SequenceWindow
-from accelerant.driver import CSV_HEADER, FixedPointProblem
-from accelerant.problems import linear_iteration_generator
+from accelerant.driver import (
+    CSV_HEADER,
+    METHOD_NAMES,
+    CycleConfig,
+    FixedPointProblem,
+    run_cycles,
+)
+from accelerant.problems import (
+    SparseGraph,
+    linear_iteration_generator,
+    pagerank,
+)
 from accelerant.scalar import epsilon_scalar
 
 import _oracles as oracles
@@ -185,6 +195,100 @@ class TestSolveCommand:
         assert code == 1
         assert out == ""
         assert "--n: must be at least 1" in err
+
+
+class TestNarrowProblems:
+    # problems with fewer dimensions than the default width m = 5
+
+    @pytest.mark.parametrize("method", ["rre", "mpe"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_polynomial_methods_converge_below_the_width(self, capsys,
+                                                         method, n):
+        code, out, err = run_cli(capsys, ["solve", "--problem", "linear",
+                                          "--method", method,
+                                          "--n", str(n)])
+        assert (code, err) == (0, "")
+        fields = out.strip().splitlines()[1].split(",")
+        assert int(fields[6]) == 8
+        assert float(fields[7]) <= 1e-8
+
+    @pytest.mark.parametrize("method", ["mmpe", "sbeta", "h"])
+    def test_test_basis_width_above_the_dimension_names_m(self, capsys,
+                                                          method):
+        code, out, err = run_cli(capsys, ["solve", "--problem", "linear",
+                                          "--method", method, "--n", "3"])
+        assert (code, out) == (1, "")
+        assert "--m 5 exceeds the problem dimension 3" in err
+        code, out, _ = run_cli(capsys, ["solve", "--problem", "linear",
+                                        "--method", method, "--n", "3",
+                                        "--m", "3"])
+        assert code == 0
+
+
+# four nodes under sparse labels, given with sources out of order: 7 -> 30
+# is a parallel edge and -4 has no out-edges
+EDGE_FILE = """# src dst
+100 7
+7 30
+30 100
+7 30
+100 -4
+30 7
+7 100
+"""
+# the same graph with its labels compacted in sorted order:
+# -4 -> 0, 7 -> 1, 30 -> 2, 100 -> 3
+COMPACT_EDGES = [(3, 1), (1, 2), (2, 3), (1, 2), (3, 0), (2, 1), (1, 3)]
+NARROW_METHODS = [m for m in cli.BENCH_METHODS
+                  if m not in ("mmpe", "sbeta", "h")]
+
+
+class TestEdgesFile:
+    @pytest.fixture
+    def edges(self, tmp_path):
+        path = tmp_path / "graph.txt"
+        path.write_text(EDGE_FILE)
+        return str(path)
+
+    def test_every_default_width_method_converges(self, capsys, edges):
+        code, out, err = run_cli(capsys, ["bench", "--problem", "pagerank",
+                                          "--edges", edges, "--methods",
+                                          ",".join(NARROW_METHODS)])
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [row[0] for row in rows] == NARROW_METHODS
+        assert all(row[4] == "converged" for row in rows)
+
+    def test_rows_match_run_cycles_on_the_compacted_graph(self, capsys,
+                                                          edges):
+        problem = pagerank(SparseGraph.from_edges(4, COMPACT_EDGES))
+        vector_methods = [m for m in NARROW_METHODS if m in METHOD_NAMES]
+        code, out, _ = run_cli(capsys, ["bench", "--problem", "pagerank",
+                                        "--edges", edges, "--methods",
+                                        ",".join(vector_methods)])
+        assert code == 0
+        bench = {row[0]: row for row in
+                 (line.split(",") for line in out.strip().splitlines()[1:])}
+        for method in vector_methods:
+            # the CLI's defaults
+            config = CycleConfig(method=method, max_cycles=1000, depth=5)
+            report = run_cycles(problem, config)
+            code, out, _ = run_cli(capsys, ["solve", "--problem", "pagerank",
+                                            "--edges", edges,
+                                            "--method", method])
+            assert code == 0
+            solve = out.strip().splitlines()[1].split(",")
+            assert solve[6] == bench[method][1] == str(report.iterations)
+            assert solve[7] == bench[method][2] \
+                == cli._fmt(report.final_residual)
+
+    def test_test_basis_methods_are_refused_at_the_default_width(self, capsys,
+                                                                 edges):
+        code, out, err = run_cli(capsys, ["bench", "--problem", "pagerank",
+                                          "--edges", edges, "--methods",
+                                          "picard,mmpe"])
+        assert (code, out) == (1, "")
+        assert "--m 5 exceeds the problem dimension 4" in err
 
 
 class TestIllposedCommand:

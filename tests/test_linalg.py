@@ -241,6 +241,22 @@ def test_lstsq_near_duplicate_column_takes_min_norm_path():
     assert fit.coefficients[0] == pytest.approx(fit.coefficients[1], rel=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(1, 2), (2, 5), (3, 4)])
+def test_lstsq_wide_matrix_takes_min_norm_path(shape):
+    # more columns than rows: never full column rank, so the minimum-norm
+    # fit comes back flagged, where qr_mgs itself refuses the matrix
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal(shape)
+    b = rng.standard_normal(shape[0])
+    fit = least_squares(a, b)
+    assert fit.rank_deficient
+    np.testing.assert_array_equal(
+        fit.coefficients, np.linalg.lstsq(a, b, rcond=1e-12)[0])
+    assert fit.residual_norm <= 1e-12
+    with pytest.raises(ValueError, match="rows >= cols"):
+        qr_mgs(a)
+
+
 def test_lstsq_matches_normal_equations():
     rng = np.random.default_rng(17)
     a = rng.standard_normal((30, 6))

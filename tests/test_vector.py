@@ -661,13 +661,25 @@ class TestAndersonStep:
         np.testing.assert_allclose(x, 3 * shift)
 
     def test_history_deeper_than_dimension_sheds_oldest_columns(self):
-        state = AndersonState.start(np.zeros(2), depth=5, damping=1.0)
-        for _ in range(5):
-            _, state = anderson_step(
-                state, np.cos(state.current) + np.array([0.0, 0.5]))
-        assert len(state.residuals) == 5
-        assert state.diagnostics["mixed_depth"] <= 2.0
-        assert state.diagnostics["columns_dropped"] >= 2.0
+        # more differences than dimensions make a wide fit, which sheds
+        # columns like any rank-deficient one, down to the newest N: each
+        # step is the step of a history of depth N
+        def g(x):
+            return np.cos(x) + np.array([0.0, 0.5])
+
+        deep = AndersonState.start(np.zeros(2), depth=5)
+        shallow = AndersonState.start(np.zeros(2), depth=2)
+        for _ in range(8):
+            held = len(deep.residuals)
+            x_deep, deep = anderson_step(deep, g(deep.current))
+            x_shallow, shallow = anderson_step(shallow, g(shallow.current))
+            assert x_deep.tobytes() == x_shallow.tobytes()
+            assert deep.diagnostics["mixed_depth"] == min(held, 2)
+            assert deep.diagnostics["columns_dropped"] == max(0, held - 2)
+            for j in range(min(held, 2)):
+                key = f"theta_{j}"
+                assert deep.diagnostics[key] == shallow.diagnostics[key]
+        assert len(deep.residuals) == 5
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
