@@ -39,8 +39,8 @@ from .core import (
 )
 from .driver import (
     CSV_HEADER,
+    DIVERGENCE_FACTOR,
     CycleConfig,
-    DivergenceError,
     METHOD_NAMES,
     FixedPointProblem,
     run_cycles,
@@ -246,12 +246,10 @@ def _cycle_config(args, method: str, dimension: int) -> CycleConfig:
 def cmd_solve(args) -> int:
     problem = _build_problem(args, args.seed)
     config = _cycle_config(args, args.method, problem.dimension)
-    try:
-        report = run_cycles(problem, config)
-    except DivergenceError as exc:
-        print(f"error: diverged - {exc}", file=sys.stderr)
-        return 3
+    report = run_cycles(problem, config)
     _emit(CSV_HEADER + "\n" + report.csv_row(), args.output)
+    if report.reason not in _CONVERGED:
+        print(f"stopped: {report.reason}", file=sys.stderr)
     return 0 if report.reason in _CONVERGED else 3
 
 
@@ -333,7 +331,7 @@ def _run_picard(problem: FixedPointProblem, tol: float, max_evals: int,
             prev_delta = delta
         elif delta <= tol * initial:
             return evals, delta / initial, "converged", nxt
-        if not math.isfinite(delta) or delta > 1e12 * initial:
+        if not math.isfinite(delta) or delta > DIVERGENCE_FACTOR * initial:
             return evals, delta / initial, "diverged", nxt
         current = nxt
     return max_evals, delta / initial, "max_cycles", current
@@ -436,21 +434,17 @@ def _bench_row(method: str, args, problem: FixedPointProblem) -> BenchRow:
     error_aware = args.problem == "pagerank"
     norm = _problem_norm(args.problem)
     start = time.perf_counter()
-    try:
-        if method == "picard":
-            evals, final, status, _ = _run_picard(
-                problem, args.tol, args.max_cycles, error_aware, norm)
-        elif method in ("aitken", "epsilon"):
-            evals, final, status, _ = _run_componentwise(
-                problem, args.tol, args.max_cycles, method, error_aware, norm)
-        else:
-            report = run_cycles(problem, _cycle_config(args, method,
-                                                       problem.dimension))
-            evals, final, status = (report.iterations, report.final_residual,
-                                    report.reason)
-    except DivergenceError:
-        return BenchRow(method, 0, math.inf,
-                        time.perf_counter() - start, "diverged")
+    if method == "picard":
+        evals, final, status, _ = _run_picard(
+            problem, args.tol, args.max_cycles, error_aware, norm)
+    elif method in ("aitken", "epsilon"):
+        evals, final, status, _ = _run_componentwise(
+            problem, args.tol, args.max_cycles, method, error_aware, norm)
+    else:
+        report = run_cycles(problem, _cycle_config(args, method,
+                                                   problem.dimension))
+        evals, final, status = (report.iterations, report.final_residual,
+                                report.reason)
     return BenchRow(method, evals, final, time.perf_counter() - start, status)
 
 

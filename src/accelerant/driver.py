@@ -15,7 +15,9 @@ reference residual at the starting guess (reused as the first stop check
 when no warmup runs), each later stop check costs one evaluation, and each
 completed cycle adds its warmup and window evaluations on top.  The warmup
 runs once before the first stop check; projection methods rerun it before
-every later one.
+every later one.  Every run, a diverged one too, ends in a ``RunReport``
+whose ``reason`` names the stop and whose counts cover every evaluation; an
+overflow inside a run is one of those results, never a warning.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ CSV_HEADER = "method,N,p,m,tol,cycles,iterations,final_residual,seconds"
 
 
 class DivergenceError(RuntimeError):
-    """The monitored residual outgrew the divergence guard."""
+    """A map value was nonfinite; ``run_cycles`` reports it as a reason."""
 
 
 @dataclass(frozen=True)
@@ -169,7 +171,9 @@ class RunReport:
     at the stop check that ended the run.  ``reason`` names that stop:
     ``converged``, ``warmup`` (converged before the first cycle, during
     the one-time warmup), ``stalled`` (a window cycle returned its own
-    start) or ``max_cycles``.
+    start), ``max_cycles``, ``diverged`` (the residual outgrew
+    ``DIVERGENCE_FACTOR`` times the starting one) or ``nonfinite`` (a map
+    value was not finite; ``final_residual`` is then inf).
     """
 
     method: str
@@ -255,23 +259,24 @@ def _extrapolate(config: CycleConfig, seq: np.ndarray,
     return stea(SequenceWindow(seq), residual0, m, variant).value
 
 
+@np.errstate(over="ignore")
 def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
-    """Run restarted acceleration cycles until the stop check passes.
+    """Run restarted acceleration cycles until a stop check ends the run.
 
-    Every stop check maps the current point, then tests in this order:
-    a residual exceeding ``DIVERGENCE_FACTOR`` times the starting residual
-    raises DivergenceError, as does a nonfinite map value at any
-    evaluation; a residual relative to the starting residual within
-    ``config.tol`` stops with reason ``converged`` (``warmup`` when no
-    cycle ran and the warmup did the work); a window cycle whose next
-    start lies within ``STALL_TOL`` of its own start, relative to that
-    start's norm, stops with reason ``stalled``, since every later cycle
-    would repeat it (anderson, whose step depends on its history, is
-    never checked); and after ``config.max_cycles`` cycles the run stops
-    with reason ``max_cycles``.  A starting residual whose norm overflows
-    or underflows raises ValueError.  A transform breakdown inside a cycle
-    falls back to the window's last plain iterate for that cycle (counted
-    in ``fallback_cycles``).
+    Every stop check maps the current point, then stops the run with the
+    first reason that holds: ``diverged``, a residual above
+    ``DIVERGENCE_FACTOR`` times the starting one (or whose norm
+    overflows); ``converged``, a residual within ``config.tol`` of the
+    starting one, relative (``warmup`` when no cycle ran and the warmup
+    did the work); ``stalled``, the last window cycle handed the next its
+    own start to within ``STALL_TOL``, relative to that start's norm, so
+    every later cycle would repeat it (never checked for anderson, whose
+    step depends on its history); ``max_cycles``, ``config.max_cycles``
+    cycles ran.  A nonfinite map value at any evaluation stops the run
+    there with reason ``nonfinite``, not counting the cycle it interrupts.
+    A starting residual whose norm overflows or underflows raises
+    ValueError.  A transform breakdown falls back to the window's last
+    plain iterate for that cycle (counted in ``fallback_cycles``).
     """
     start_time = time.perf_counter()
     dimension = problem.dimension
@@ -286,8 +291,7 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
             raise DivergenceError("map produced nonfinite values")
         return image
 
-    def report(cycles: int, final_rel: float, history: list[float],
-               reason: str, fallbacks: int) -> RunReport:
+    def report(final_rel: float, reason: str) -> RunReport:
         return RunReport(
             method=config.method, dimension=dimension,
             warmup_p=config.warmup_p, width_m=config.width_m,
@@ -297,76 +301,77 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
             fallback_cycles=fallbacks)
 
     current = np.array(problem.initial_guess, dtype=float)
-    g_current = apply_map(current)
-    residual0 = g_current - current
-    if not np.any(residual0):
-        return report(0, 0.0, [], "converged", 0)
-    with np.errstate(over="ignore"):  # the norm squares without scaling
-        reference = float(np.linalg.norm(residual0))
-    if not 0.0 < reference < np.inf:
-        raise ValueError(
-            f"starting residual of scale {np.max(np.abs(residual0)):.3e} has "
-            "no finite nonzero norm in double precision; rescale the problem")
-
-    def warmup(point: np.ndarray) -> np.ndarray:
-        for _ in range(config.warmup_p):
-            point = apply_map(point)
-        return point
-
-    if config.warmup_p:
-        current = warmup(current)
-        g_current = apply_map(current)
-    anderson = None
-    if config.method == "anderson":
-        depth = config.depth if config.depth is not None else config.width_m
-        anderson = AndersonState.start(current, depth=depth,
-                                       damping=config.damping)
-    rewarm_each_cycle = config.method in PROJECTION_METHODS
-    # One buffer, reused by every cycle, holds the iterates the window
-    # copies.  Kept in fresh arrays per cycle instead, they let glibc trim
-    # and regrow the heap every cycle (twice the page faults on
-    # reaction_diffusion(80), for the same arithmetic).
-    seq = np.empty((config.inner_terms + 1, dimension))
     history: list[float] = []
     fallbacks = 0
     cycles = 0
     stalled = False
-    # The stop and stall checks take their norms as math.sqrt(r.dot(r))
-    # (``_norm``): on a contiguous float64 vector that is the dot and the
-    # square root np.linalg.norm runs, so the same bits at less cost.
-    while True:
-        res = _norm(g_current - current)
-        rel = res / reference
-        if res > DIVERGENCE_FACTOR * reference:
-            raise DivergenceError(
-                f"residual grew to {rel:.3e} times the starting residual")
-        if convergence_check(res, reference, config.tol):
-            reason = "warmup" if cycles == 0 and config.warmup_p > 0 \
-                else "converged"
-            return report(cycles, rel, history, reason, fallbacks)
-        if stalled:
-            return report(cycles, rel, history, "stalled", fallbacks)
-        if cycles >= config.max_cycles:
-            return report(cycles, rel, history, "max_cycles", fallbacks)
-        history.append(rel)
-
-        if anderson is not None:
-            _, anderson = anderson_step(anderson, g_current)
-            current = anderson.current
-        else:
-            seq[0] = current
-            for j in range(config.inner_terms):
-                seq[j + 1] = apply_map(seq[j])
-            try:
-                value = _extrapolate(config, seq, g_current - current)
-            except BreakdownError:
-                value = seq[-1]
-                fallbacks += 1
-            current = np.array(value, dtype=float)
-            del value  # a vea value is a view of its table's block
-            if rewarm_each_cycle:
-                current = warmup(current)
-            # the next window starts from current, after any rerun warmup
-            stalled = _norm(current - seq[0]) <= STALL_TOL * _norm(seq[0])
-        cycles += 1
+    try:
         g_current = apply_map(current)
+        residual0 = g_current - current
+        if not np.any(residual0):
+            return report(0.0, "converged")
+        reference = float(np.linalg.norm(residual0))
+        if not 0.0 < reference < np.inf:
+            scale = np.max(np.abs(residual0))
+            raise ValueError(f"starting residual of scale {scale:.3e} has no "
+                             "finite nonzero norm in double precision; "
+                             "rescale the problem")
+
+        def warmup(point: np.ndarray) -> np.ndarray:
+            for _ in range(config.warmup_p):
+                point = apply_map(point)
+            return point
+
+        if config.warmup_p:
+            current = warmup(current)
+            g_current = apply_map(current)
+        anderson = None
+        if config.method == "anderson":
+            depth = config.width_m if config.depth is None else config.depth
+            anderson = AndersonState.start(current, depth=depth,
+                                           damping=config.damping)
+        # One buffer, reused by every cycle, holds the iterates the window
+        # copies.  Kept in fresh arrays per cycle instead, they let glibc trim
+        # and regrow the heap every cycle (twice the page faults on
+        # reaction_diffusion(80), for the same arithmetic).
+        seq = np.empty((config.inner_terms + 1, dimension))
+        # The stop and stall checks take their norms as math.sqrt(r.dot(r))
+        # (``_norm``): on a contiguous float64 vector that is the dot and
+        # the square root np.linalg.norm runs, so the same bits at less cost.
+        while True:
+            res = _norm(g_current - current)
+            rel = res / reference
+            if res > DIVERGENCE_FACTOR * reference:
+                return report(rel, "diverged")
+            if convergence_check(res, reference, config.tol):
+                reason = "warmup" if cycles == 0 and config.warmup_p > 0 \
+                    else "converged"
+                return report(rel, reason)
+            if stalled:
+                return report(rel, "stalled")
+            if cycles >= config.max_cycles:
+                return report(rel, "max_cycles")
+
+            if anderson is not None:
+                _, anderson = anderson_step(anderson, g_current)
+                current = anderson.current
+            else:
+                seq[0] = current
+                for j in range(config.inner_terms):
+                    seq[j + 1] = apply_map(seq[j])
+                try:
+                    value = _extrapolate(config, seq, g_current - current)
+                except BreakdownError:
+                    value = seq[-1]
+                    fallbacks += 1
+                current = np.array(value, dtype=float)
+                del value  # a vea value is a view of its table's block
+                if config.method in PROJECTION_METHODS:
+                    current = warmup(current)
+                # the next window starts from current, after any rerun warmup
+                stalled = _norm(current - seq[0]) <= STALL_TOL * _norm(seq[0])
+            history.append(rel)
+            cycles += 1
+            g_current = apply_map(current)
+    except DivergenceError:  # a nonfinite map value ends the run at once
+        return report(np.inf, "nonfinite")

@@ -189,6 +189,22 @@ class TestSolveCommand:
         assert code == 3
         assert "max_cycles" not in out.splitlines()[0]  # header stays fixed
 
+    def test_diverged_run_prints_its_row_and_exits_three(self, capsys):
+        code, out, err = run_cli(capsys, ["solve", "--problem", "linear",
+                                          "--method", "tea", "--tol", "1e-6"])
+        assert code == 3
+        assert err == "stopped: diverged\n"
+        header, row = out.strip().splitlines()
+        assert header == CSV_HEADER
+        problem = linear_iteration_generator(100, 0.9, 42).as_fixed_point()
+        report = run_cycles(problem, CycleConfig(method="tea", tol=1e-6,
+                                                 max_cycles=1000))
+        assert report.reason == "diverged"
+        fields = row.split(",")
+        assert fields[5:8] == [str(report.cycles), str(report.iterations),
+                               cli._fmt(report.final_residual)]
+        assert report.cycles > 0
+
     def test_zero_size_exits_one(self, capsys):
         code, out, err = run_cli(capsys, ["solve", "--problem", "linear",
                                           "--method", "rre", "--n", "0"])
@@ -487,6 +503,17 @@ class TestBenchCommand:
         assert code == 3
         row = out.strip().splitlines()[1]
         assert row.split(",")[4] != "converged"
+
+    def test_diverged_row_keeps_its_evaluations(self, capsys):
+        code, out, _ = run_cli(capsys, ["bench", "--problem", "linear",
+                                        "--tol", "1e-6", "--methods",
+                                        "tea,rre"])
+        assert code == 0  # rre converged
+        tea, rre = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert (tea[0], tea[4]) == ("tea", "diverged")
+        assert int(tea[1]) > 0
+        assert math.isfinite(float(tea[2])) and float(tea[2]) > 1e12
+        assert (rre[0], rre[4]) == ("rre", "converged")
 
     def test_stalled_rows_exit_three(self, capsys):
         # seeded fixed test vectors and no warmup on an affine map: each

@@ -1,21 +1,30 @@
 """Driver tests: cycle mechanics, accounting, and acceleration behavior."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accelerant.driver import (
     CSV_HEADER,
+    DIVERGENCE_FACTOR,
     CycleConfig,
-    DivergenceError,
     FixedPointProblem,
     METHOD_NAMES,
     RunReport,
     convergence_check,
     run_cycles,
 )
-from accelerant.problems import reaction_diffusion
+from accelerant.problems import (
+    clustered_graph,
+    fredholm,
+    linear_iteration_generator,
+    pagerank,
+    reaction_diffusion,
+)
 
 
 def contraction(rng, n, radius):
@@ -193,21 +202,71 @@ class TestRunCycles:
         assert report.fallback_cycles == 1
         assert report.cycles == 1
 
-    def test_divergent_iteration_raises(self):
-        # undamped memory-free mixing is plain iteration, which expands here
+    def test_divergent_iteration_reports_diverged(self):
+        # undamped memory-free mixing is plain iteration, which expands
+        # here: from the ones the k-th residual is (3**(k+1), 4**(k+1)),
+        # and the 21st is the first beyond 1e12 times the starting 5
         b_matrix = np.diag([3.0, 4.0])
-        problem = FixedPointProblem(2, lambda u: b_matrix @ u + 1.0,
-                                    np.ones(2))
+        problem, counter = counted_problem(FixedPointProblem(
+            2, lambda u: b_matrix @ u + 1.0, np.ones(2)))
         config = CycleConfig(method="anderson", depth=0, damping=1.0,
                              tol=1e-14, max_cycles=200)
-        with pytest.raises(DivergenceError):
-            run_cycles(problem, config)
+        report = run_cycles(problem, config)
+        assert report.reason == "diverged"
+        assert (report.cycles, report.iterations) == (21, 22)
+        assert counter["evals"] == 22
+        expected = [np.hypot(3.0 ** (k + 1), 4.0 ** (k + 1)) / 5.0
+                    for k in range(22)]
+        np.testing.assert_allclose(report.residual_history, expected[:21],
+                                   rtol=1e-14)
+        assert report.final_residual == pytest.approx(expected[21],
+                                                      rel=1e-14)
 
-    def test_nonfinite_map_output_raises(self):
+    def test_nonfinite_map_output_reports_nonfinite(self):
         problem = FixedPointProblem(
             2, lambda u: np.array([np.inf, 0.0]), np.zeros(2))
-        with pytest.raises(DivergenceError):
-            run_cycles(problem, CycleConfig(method="rre", width_m=1))
+        report = run_cycles(problem, CycleConfig(method="rre", width_m=1))
+        assert report.reason == "nonfinite"
+        assert (report.cycles, report.iterations) == (0, 1)
+        assert report.final_residual == np.inf
+        assert report.residual_history == ()
+
+    def test_overflowing_residual_norm_reports_diverged(self):
+        # the norm squares without scaling, so past ~1.3e154 it reads inf
+        # although the residual has grown only 1e4-fold; the overflow is
+        # reported, not warned about
+        problem = FixedPointProblem(3, lambda x: 10.0 * x,
+                                    np.full(3, 1e149))
+        report = run_cycles(problem, CycleConfig(
+            method="anderson", width_m=2, depth=0, max_cycles=20))
+        assert report.reason == "diverged"
+        assert (report.cycles, report.iterations) == (4, 5)
+        assert report.final_residual == np.inf
+        np.testing.assert_allclose(report.residual_history,
+                                   [1e0, 1e1, 1e2, 1e3], rtol=1e-12)
+
+    # rre with m = 2 and p = 1: evaluation 1 maps the start, 2 is the
+    # warmup and 3 the first stop check; each cycle then spends three
+    # window evaluations, one rerun warmup and its stop check (4-8, 9-13)
+    @pytest.mark.parametrize("failing, cycles", [
+        (1, 0), (2, 0), (3, 0), (5, 0), (7, 0), (8, 1), (10, 1), (13, 2)])
+    def test_nonfinite_value_ends_the_run_where_it_appears(self, failing,
+                                                           cycles):
+        base, _, _ = affine_problem(12, 10, radius=0.95)
+        calls = {"n": 0}
+
+        def mapping(u):
+            calls["n"] += 1
+            image = base.mapping(u)
+            return image if calls["n"] < failing else image * np.nan
+
+        problem = FixedPointProblem(10, mapping, base.initial_guess)
+        report = run_cycles(problem, CycleConfig(
+            method="rre", width_m=2, warmup_p=1, tol=1e-15))
+        assert report.reason == "nonfinite"
+        assert report.iterations == calls["n"] == failing
+        assert report.cycles == len(report.residual_history) == cycles
+        assert report.final_residual == np.inf
 
     def test_wrong_map_dimension_raises(self):
         problem = FixedPointProblem(2, lambda u: np.zeros(3), np.ones(2))
@@ -469,3 +528,81 @@ class TestCycleMemory:
         report, peak = _traced_peak(problem, config)
         assert report.cycles == 2
         assert peak <= bound, (peak, bound)
+
+
+# ---------------------------------------------------------------------------
+# the run contract: every run ends in a report that accounts for it
+
+REASONS = ("converged", "warmup", "stalled", "max_cycles", "diverged",
+           "nonfinite")
+TEST_BASIS_METHODS = ("mmpe", "sbeta", "h")
+
+
+@st.composite
+def contract_problems(draw):
+    """A small bundled problem or the expanding map u -> diag(3, 4) u + 1."""
+    kind = draw(st.sampled_from(
+        ("linear", "fredholm", "pde", "pagerank", "expanding")))
+    seed = draw(st.integers(0, 2**16))
+    if kind == "linear":
+        return linear_iteration_generator(
+            draw(st.integers(1, 12)), draw(st.sampled_from((0.5, 0.9, 0.99))),
+            seed).as_fixed_point()
+    if kind == "fredholm":
+        return fredholm(draw(st.integers(2, 12)),
+                        draw(st.sampled_from((0.5, 0.9))))
+    if kind == "pde":
+        return reaction_diffusion(draw(st.integers(3, 5)))
+    if kind == "pagerank":
+        return pagerank(clustered_graph(draw(st.integers(4, 24)),
+                                        draw(st.integers(2, 4)), seed))
+    expanding = np.array([3.0, 4.0])
+    return FixedPointProblem(2, lambda u: expanding * u + 1.0, np.ones(2))
+
+
+class TestRunContract:
+    @given(base=contract_problems(), method=st.sampled_from(METHOD_NAMES),
+           width=st.integers(1, 4), warmup=st.integers(0, 2),
+           tol=st.sampled_from((1e-4, 1e-8, 1e-13)),
+           max_cycles=st.integers(1, 25),
+           poison_after=st.none() | st.integers(0, 60))
+    @settings(max_examples=150, deadline=None)
+    def test_every_run_ends_in_an_accounted_report(
+            self, base, method, width, warmup, tol, max_cycles,
+            poison_after):
+        """A run returns a report with a named reason whose count matches
+        a counting wrapper's, one history entry per cycle, and no
+        RuntimeWarning; ``poison_after`` makes the map return inf from
+        the call after that many."""
+        if method in TEST_BASIS_METHODS:
+            width = min(width, base.dimension)
+        calls = {"n": 0}
+
+        def mapping(u):
+            calls["n"] += 1
+            image = base.mapping(u)
+            if poison_after is not None and calls["n"] > poison_after:
+                return np.full_like(image, np.inf)
+            return image
+
+        problem = FixedPointProblem(base.dimension, mapping,
+                                    base.initial_guess)
+        config = CycleConfig(method=method, width_m=width, warmup_p=warmup,
+                             tol=tol, max_cycles=max_cycles)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = run_cycles(problem, config)
+        assert isinstance(report, RunReport)
+        assert report.reason in REASONS
+        assert report.iterations == calls["n"]
+        assert len(report.residual_history) == report.cycles
+        if report.reason == "diverged":
+            assert report.final_residual > DIVERGENCE_FACTOR
+        elif report.reason == "nonfinite":
+            assert report.final_residual == np.inf
+        else:
+            assert np.isfinite(report.final_residual)
+        if poison_after is not None and calls["n"] > poison_after:
+            # the first poisoned value ends the run
+            assert report.reason == "nonfinite"
+            assert calls["n"] == poison_after + 1
