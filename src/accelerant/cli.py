@@ -288,15 +288,9 @@ class BenchRow:
     seconds: float
     status: str
 
-    def csv(self) -> str:
-        return ",".join([self.method, str(self.iterations),
-                         _fmt(self.final_residual), _fmt(self.seconds),
-                         self.status])
-
-    def markdown(self) -> str:
-        return "| " + " | ".join([self.method, str(self.iterations),
-                                  _fmt(self.final_residual),
-                                  _fmt(self.seconds), self.status]) + " |"
+    def cells(self) -> list[str]:
+        return [self.method, str(self.iterations), _fmt(self.final_residual),
+                _fmt(self.seconds), self.status]
 
 
 def _error_aware_stop(delta: float, prev_delta: float | None, tol: float,
@@ -441,19 +435,24 @@ def _bench_row(method: str, args, problem: FixedPointProblem) -> BenchRow:
         evals, final, status, _ = _run_componentwise(
             problem, args.tol, args.max_cycles, method, error_aware, norm)
     else:
-        report = run_cycles(problem, _cycle_config(args, method,
-                                                   problem.dimension))
+        try:
+            config = _cycle_config(args, method, problem.dimension)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return BenchRow(method, 0, math.nan,
+                            time.perf_counter() - start, "refused")
+        report = run_cycles(problem, config)
         evals, final, status = (report.iterations, report.final_residual,
                                 report.reason)
     return BenchRow(method, evals, final, time.perf_counter() - start, status)
 
 
 def _render_rows(rows: list[BenchRow], fmt: str) -> str:
+    table = [BENCH_HEADER.split(",")] + [row.cells() for row in rows]
     if fmt == "md":
-        header = "| " + " | ".join(BENCH_HEADER.split(",")) + " |"
-        rule = "|" + "|".join(" --- " for _ in BENCH_HEADER.split(",")) + "|"
-        return "\n".join([header, rule] + [row.markdown() for row in rows])
-    return "\n".join([BENCH_HEADER] + [row.csv() for row in rows])
+        table.insert(1, ["---"] * len(table[0]))
+        return "\n".join("| " + " | ".join(cells) + " |" for cells in table)
+    return "\n".join(",".join(cells) for cells in table)
 
 
 def cmd_bench(args) -> int:
@@ -470,9 +469,9 @@ def cmd_bench(args) -> int:
     problem = _build_problem(args, args.seed)
     rows = [_bench_row(name, args, problem) for name in methods]
     _emit(_render_rows(rows, args.format), args.output)
-    if all(row.status not in _CONVERGED for row in rows):
-        return 3
-    return 0
+    if any(row.status == "refused" for row in rows):
+        return 1
+    return 3 if all(row.status not in _CONVERGED for row in rows) else 0
 
 
 # ---------------------------------------------------------------------------

@@ -300,10 +300,17 @@ class TestEdgesFile:
 
     def test_test_basis_methods_are_refused_at_the_default_width(self, capsys,
                                                                  edges):
+        # the refused row is printed beside the finished ones
         code, out, err = run_cli(capsys, ["bench", "--problem", "pagerank",
                                           "--edges", edges, "--methods",
                                           "picard,mmpe"])
-        assert (code, out) == (1, "")
+        assert code == 1
+        picard, mmpe = [line.split(",")
+                        for line in out.strip().splitlines()[1:]]
+        assert (picard[0], picard[4]) == ("picard", "converged")
+        assert int(picard[1]) > 0
+        assert (mmpe[0], mmpe[1], mmpe[2], mmpe[4]) \
+            == ("mmpe", "0", "nan", "refused")
         assert "--m 5 exceeds the problem dimension 4" in err
 
 
