@@ -6,9 +6,9 @@ plain iterations, (ii) collects a short window of consecutive iterates,
 (iv) restarts the iteration from the collapsed point.  Projection-type
 transforms (``rre``, ``mpe``, ``mmpe``, ``sbeta``, ``h``) consume a window
 of ``m + 2`` terms per cycle; lozenge-type transforms (``vea``, ``tea``,
-``stea1``, ``stea2``) consume ``2m + 1`` terms.  ``anderson`` takes one
-mixing step per cycle from the stop check's own evaluation, carrying its
-history from cycle to cycle, so its window costs no evaluation.
+``stea2``; STEA1 would repeat TEA) consume ``2m + 1`` terms.  ``anderson``
+takes one mixing step per cycle from the stop check's own evaluation,
+carrying its history from cycle to cycle, so its window costs no evaluation.
 
 Map evaluations are counted exactly: one evaluation establishes the
 reference residual at the starting guess (reused as the first stop check
@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 PROJECTION_METHODS = ("rre", "mpe", "mmpe", "sbeta", "h")
-LOZENGE_METHODS = ("vea", "tea", "stea1", "stea2")
+LOZENGE_METHODS = ("vea", "tea", "stea2")
 METHOD_NAMES = PROJECTION_METHODS + LOZENGE_METHODS + ("anderson",)
 
 DIVERGENCE_FACTOR = 1e12
@@ -108,7 +108,7 @@ class CycleConfig:
     ``warmup_p`` the number of plain iterations run before the window is
     collected.  ``test_vectors`` supplies projection columns for the
     ``mmpe``/``sbeta``/``h`` methods (canonical basis columns by default);
-    ``tea``/``stea1``/``stea2`` pair with the current cycle's residual.
+    ``tea`` and ``stea2`` pair with the current cycle's residual.
     ``depth`` and ``damping`` configure ``anderson`` only, with ``depth``
     falling back to ``width_m`` when unset.
     """
@@ -255,8 +255,7 @@ def _extrapolate(config: CycleConfig, seq: np.ndarray,
         return vea(SequenceWindow(seq)).get_entry(2 * m, 0)
     if method == "tea":
         return tea(SequenceWindow(seq), residual0, m).value
-    variant = 1 if method == "stea1" else 2
-    return stea(SequenceWindow(seq), residual0, m, variant).value
+    return stea(SequenceWindow(seq), residual0, m, 2).value
 
 
 @np.errstate(over="ignore")

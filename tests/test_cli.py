@@ -399,6 +399,15 @@ class TestBenchCommand:
                                         "--methods", "picard,warp"])
         assert code == 1
         assert "warp" in err
+        # stea1 is a transform in vector, not a cycle method
+        code, _, err = run_cli(capsys, ["bench", "--problem", "linear",
+                                        "--methods", "picard,stea1"])
+        assert code == 1
+        assert "stea1" in err
+        code, _, err = run_cli(capsys, ["solve", "--problem", "linear",
+                                        "--method", "stea1"])
+        assert code == 1
+        assert "invalid choice: 'stea1'" in err
 
     def test_empty_method_list_exits_one(self, capsys):
         code, _, err = run_cli(capsys, ["bench", "--problem", "linear",

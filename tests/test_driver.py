@@ -79,8 +79,11 @@ class TestCycleConfig:
         with pytest.raises(ValueError):
             CycleConfig(method="newton")
         assert set(METHOD_NAMES) == {
-            "rre", "mpe", "mmpe", "sbeta", "h", "vea", "tea",
-            "stea1", "stea2", "anderson"}
+            "rre", "mpe", "mmpe", "sbeta", "h", "vea", "tea", "stea2",
+            "anderson"}
+        # STEA1 computes TEA's point, so it is a transform, not a method
+        with pytest.raises(ValueError, match="unknown method"):
+            CycleConfig(method="stea1")
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
