@@ -101,12 +101,26 @@ def _passes(size: np.ndarray, local_scale: np.ndarray) -> np.ndarray:
     return size > _THRESHOLD_0D * np.maximum(local_scale, _TINY_0D)
 
 
+#: Below this sum of squares a dot may have lost bits to underflow.
+_SMALL_SQUARE = 2.0 ** -960
+
+
 def _norm(x: np.ndarray) -> float:
-    """``np.linalg.norm(x)`` of a contiguous 1-D float64 vector, bit for bit:
-    the same dot and a correctly rounded square root, without the argument
-    handling.  (norm copies a strided vector first, and a dot rounds by
-    stride, so callers pass contiguous vectors.)"""
-    return math.sqrt(x.dot(x))
+    """``np.linalg.norm(x)`` of a contiguous 1-D float64 vector, bit for bit
+    while its dot lies in [2^-960, inf): the same dot and a correctly rounded
+    square root, without the argument handling.  (norm copies a strided
+    vector first, and a dot rounds by stride, so callers pass contiguous
+    vectors.)  Outside that range, where numpy's norm overflows to inf or
+    underflows, it scales by ``max|x|`` first, so any vector of finite
+    entries has a finite norm; the dot's own overflow warning still shows
+    outside ``np.errstate``."""
+    square = float(x.dot(x))
+    if not _SMALL_SQUARE <= square < math.inf:
+        scale = float(np.max(np.abs(x)))
+        if 0.0 < scale < math.inf:
+            x = x / scale
+            return scale * math.sqrt(x.dot(x))
+    return math.sqrt(square)
 
 
 def _require_safe(denominator: float, scale: float, message: str,

@@ -22,6 +22,7 @@ overflow inside a run is one of those results, never a warning.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -309,6 +310,7 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
         residual0 = g_current - current
         if not np.any(residual0):
             return report(0.0, "converged")
+        # np.linalg.norm, not _norm: refuse starts the transforms can't scale
         reference = float(np.linalg.norm(residual0))
         if not 0.0 < reference < np.inf:
             scale = np.max(np.abs(residual0))
@@ -336,9 +338,11 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
         seq = np.empty((config.inner_terms + 1, dimension))
         # The stop and stall checks take their norms as math.sqrt(r.dot(r))
         # (``_norm``): on a contiguous float64 vector that is the dot and
-        # the square root np.linalg.norm runs, so the same bits at less cost.
+        # the square root np.linalg.norm runs, so the same bits at less cost,
+        # and where the squares overflow it scales instead of reading inf.
         while True:
-            res = _norm(g_current - current)
+            residual = g_current - current
+            res = _norm(residual)
             rel = res / reference
             if res > DIVERGENCE_FACTOR * reference:
                 return report(rel, "diverged")
@@ -358,8 +362,12 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
                 seq[0] = current
                 for j in range(config.inner_terms):
                     seq[j + 1] = apply_map(seq[j])
+                if res > 2.0 ** 500:
+                    # tea and stea2 read only the pairing's direction; an
+                    # exact power-of-two scale keeps its products finite
+                    residual *= 2.0 ** -math.frexp(res)[1]
                 try:
-                    value = _extrapolate(config, seq, g_current - current)
+                    value = _extrapolate(config, seq, residual)
                 except BreakdownError:
                     value = seq[-1]
                     fallbacks += 1

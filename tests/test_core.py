@@ -478,17 +478,26 @@ def test_norm_is_numpys_norm_bit_for_bit(n):
     # a numpy release whose norm rounds differently fails here, rather than
     # moving run_cycles' iteration counts without notice
     rng = np.random.default_rng(n)
-    for scale in (1.0, 1e-150, 1e150):
+    for scale in (1.0, 1e-130, 1e133):
         for x in (rng.standard_normal(n) * scale,
-                  rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-5, 5, n)):
+                  rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-5, 5, n)
+                  * scale):
             norm = float(np.linalg.norm(x)).hex()
             assert math.sqrt(x @ x).hex() == norm
             assert _norm(x).hex() == norm
-    # a square that overflows gives inf both ways, and numpy warns
-    x = rng.standard_normal(n) * 1e160
-    x[0] = 1e160
+    # where the sum of squares overflows or underflows, numpy's norm is
+    # inf or inexact; this one scales first and stays within a few units
+    # in the last place of the overflow-free hypot
+    for scale in (1e-170, 1e-150, 1e150, 1e160):
+        x = rng.standard_normal(n) * scale
+        x[0] = scale
+        with np.errstate(over="ignore"):
+            norm = _norm(x)
+        assert norm == pytest.approx(math.hypot(*x), rel=1e-14)
+    assert _norm(np.zeros(n)) == 0.0
+    # the dot overflows on the way, and numpy warns about it
     with np.errstate(over="ignore"):
-        assert math.sqrt(x @ x) == np.linalg.norm(x) == _norm(x) == math.inf
+        assert np.linalg.norm(x) == math.inf
     with pytest.warns(RuntimeWarning, match="overflow"):
         _norm(x)
 

@@ -235,18 +235,40 @@ class TestRunCycles:
         assert report.residual_history == ()
 
     def test_overflowing_residual_norm_reports_diverged(self):
-        # the norm squares without scaling, so past ~1.3e154 it reads inf
-        # although the residual has grown only 1e4-fold; the overflow is
-        # reported, not warned about
+        # past ~1.3e154 the residual's squares overflow, but its norm is
+        # taken scaled there, so the run stops at DIVERGENCE_FACTOR times
+        # its start, not at an early inf, and nothing is warned about
         problem = FixedPointProblem(3, lambda x: 10.0 * x,
                                     np.full(3, 1e149))
-        report = run_cycles(problem, CycleConfig(
-            method="anderson", width_m=2, depth=0, max_cycles=20))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_cycles(problem, CycleConfig(
+                method="anderson", width_m=2, depth=0, max_cycles=20))
         assert report.reason == "diverged"
-        assert (report.cycles, report.iterations) == (4, 5)
-        assert report.final_residual == np.inf
+        assert (report.cycles, report.iterations) == (13, 14)
+        assert report.final_residual == pytest.approx(1e13, rel=1e-12)
         np.testing.assert_allclose(report.residual_history,
-                                   [1e0, 1e1, 1e2, 1e3], rtol=1e-12)
+                                   10.0 ** np.arange(13), rtol=1e-12)
+
+    @pytest.mark.parametrize("start", [1e149, 1e140, 1e100])
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_runs_near_the_overflow_edge_end_in_a_report(self, method,
+                                                         start):
+        # iterates near or through the range where squares overflow: the
+        # windows' own products (the angle diagnostics of mpe and mmpe,
+        # tea's pairings) as well as the residual norms; every method still
+        # ends in a report with a named reason and lets no warning out
+        n = 4
+        for rate in (0.9, 3.0, 10.0):
+            rates = np.linspace(rate, 0.5, n)
+            problem = FixedPointProblem(n, lambda x: rates * x + 1.0,
+                                        np.full(n, start))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = run_cycles(problem, CycleConfig(
+                    method=method, width_m=2, max_cycles=200))
+            assert report.reason in REASONS
+            assert len(report.residual_history) == report.cycles
 
     # rre with m = 2 and p = 1: evaluation 1 maps the start, 2 is the
     # warmup and 3 the first stop check; each cycle then spends three
