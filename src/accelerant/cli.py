@@ -410,6 +410,10 @@ def _run_componentwise(problem: FixedPointProblem, tol: float, max_evals: int,
             accelerated /= accelerated.sum()
         if prev_accelerated is not None:
             delta = norm(accelerated - prev_accelerated)
+            # before the stop test, which an inf step would pass
+            if not math.isfinite(delta) or delta > DIVERGENCE_FACTOR * initial:
+                status = "diverged"
+                break
             if error_aware:
                 if _error_aware_stop(delta, prev_delta, tol, norm(accelerated)):
                     status = "converged"
@@ -419,8 +423,10 @@ def _run_componentwise(problem: FixedPointProblem, tol: float, max_evals: int,
                 status = "converged"
                 break
         prev_accelerated = accelerated
-    # one more evaluation for the final residual
-    final = norm(problem.mapping(accelerated) - accelerated) / initial
+    # one more evaluation for the final residual (nan at an inf point)
+    image = problem.mapping(accelerated)
+    with np.errstate(invalid="ignore"):
+        final = norm(image - accelerated) / initial
     return evals + 1, final, status, accelerated
 
 

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -615,6 +616,43 @@ def test_componentwise_reports_every_map_call(kind):
         counted, 1e-6, 1000, kind, False, cli._problem_norm("linear"))
     assert status == "converged"
     assert evals == calls["n"]
+
+
+def _growing(u):
+    # x grows by a chaotic factor in [2, 3] per step, so componentwise
+    # Aitken's point runs away long before the map could overflow
+    z, x = u
+    return np.array([4.0 * z * (1.0 - z), (2.0 + z) * x])
+
+
+def _squaring(u):
+    # componentwise epsilon keeps its point near 1 on this map until the
+    # map's own value overflows; its step is then inf
+    with np.errstate(over="ignore"):
+        return u * u + 1.0
+
+
+@pytest.mark.parametrize("kind, mapping, start, evals", [
+    ("aitken", _growing, [0.3, 1.0], 36),
+    ("epsilon", _squaring, [1.0, 1.0], 12),
+], ids=["aitken", "epsilon"])
+def test_componentwise_stops_a_diverging_run(kind, mapping, start, evals):
+    calls = {"n": 0}
+
+    def counted(u):
+        calls["n"] += 1
+        return mapping(u)
+
+    problem = FixedPointProblem(2, counted, np.array(start))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, final, status, _ = cli._run_componentwise(
+            problem, 1e-6, 1000, kind, False, cli._problem_norm("linear"))
+    # an inf step used to pass the stop test and read as converged
+    assert status == "diverged"
+    assert got == calls["n"] == evals
+    if kind == "aitken":
+        assert final > cli.DIVERGENCE_FACTOR
 
 
 @pytest.mark.parametrize("run", [
