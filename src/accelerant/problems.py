@@ -530,7 +530,11 @@ def load_edge_list(path) -> SparseGraph:
             edges.append((src, dst))
     if not edges:
         raise ValueError(f"{path}: no edges found (empty graph)")
-    labels, compact = np.unique(np.array(edges), return_inverse=True)
+    try:
+        pairs = np.array(edges, dtype=np.int64)
+    except OverflowError:  # numpy would round labels past int64 to floats
+        pairs = np.array(edges, dtype=object)
+    labels, compact = np.unique(pairs, return_inverse=True)
     graph = SparseGraph.from_edges(labels.size, compact.reshape(-1, 2))
     return replace(graph, original_ids=tuple(labels.tolist()))
 

@@ -7,7 +7,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from accelerant.problems import (
@@ -464,6 +464,7 @@ def sized_edge_lists(max_nodes=12, max_edges=40):
 class TestGraphFormat:
     @given(edges=st.lists(st.tuples(node_labels, node_labels),
                           min_size=1, max_size=40))
+    @example(edges=[(0, 2**63 + 1)])  # past int64, numpy would make floats
     @settings(max_examples=60, deadline=None)
     def test_from_edges_and_load_edge_list_agree(self, tmp_path_factory,
                                                  edges):
