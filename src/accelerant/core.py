@@ -110,10 +110,8 @@ def _norm(x: np.ndarray) -> float:
     while its dot lies in [2^-960, inf): the same dot and a correctly rounded
     square root, without the argument handling.  (norm copies a strided
     vector first, and a dot rounds by stride, so callers pass contiguous
-    vectors.)  Outside that range, where numpy's norm overflows to inf or
-    underflows, it scales by ``max|x|`` first, so any vector of finite
-    entries has a finite norm; the dot's own overflow warning still shows
-    outside ``np.errstate``."""
+    vectors.)  Outside that range it scales by ``max|x|`` first, so finite
+    entries give a finite norm; the dot still warns of its overflow."""
     square = float(x.dot(x))
     if not _SMALL_SQUARE <= square < math.inf:
         scale = float(np.max(np.abs(x)))

@@ -205,7 +205,7 @@ def _angle_diagnostics(ds0: np.ndarray, residual: np.ndarray, key: str) -> dict:
     diag = {"residual_norm": float(np.linalg.norm(residual))}
     projected = ds0 - residual
     np_, nr = np.linalg.norm(projected), np.linalg.norm(ds0)
-    if 0.0 < np_ * nr < np.inf:  # no angle where a norm overflows
+    if 0.0 < np_ * nr < np.inf:  # skipped where the norms vanish or overflow
         diag[key] = float(min(1.0, abs(ds0 @ projected) / (np_ * nr)))
     return diag
 
