@@ -1,10 +1,10 @@
 """Desk-scale dense linear algebra backing the vector extrapolation methods.
 
 Hand-rolled on numpy array primitives: modified Gram-Schmidt QR with one
-reorthogonalization pass, partially pivoted LU with growth monitoring,
-QR-based least squares, a one-sided Jacobi SVD, and an Arnoldi-based GMRES
-reference used only as a test oracle.  The least-squares minimum-norm
-fallback calls numpy's LAPACK.
+reorthogonalization pass (which builds the seeded mmpe test vectors),
+partially pivoted LU with growth monitoring, a one-sided Jacobi SVD, and an
+Arnoldi-based GMRES reference used only as a test oracle.  Every
+least-squares fit is one call to numpy's LAPACK ``lstsq``.
 
 Matrices are plain 2-D float64 numpy arrays (stored column-major
 internally); vectors are 1-D arrays.
@@ -78,7 +78,7 @@ class SvdFactors:
 class LeastSquaresFit:
     """Solution of min ||b - A theta||_2.
 
-    ``rank_deficient`` flags that the minimum-norm fallback path ran.
+    ``rank_deficient`` flags that the cutoff dropped a singular value.
     """
     coefficients: np.ndarray
     residual_norm: float
@@ -231,28 +231,19 @@ def _determinant(a) -> float:
 
 
 def least_squares(a, b) -> LeastSquaresFit:
-    """Minimize ||b - A theta||_2 via MGS QR.
+    """Minimize ||b - A theta||_2 by one LAPACK ``np.linalg.lstsq`` call.
 
-    When A is wider than tall or QR reports rank deficiency, LAPACK's
-    ``np.linalg.lstsq`` returns the minimum-norm solution instead, cutting
-    singular values at the same relative 1e-12 as the breakdown check, and
-    the result is flagged.
+    Singular values at most 1e-12 times the largest (the breakdown check's
+    threshold) are cut, leaving the minimum-norm solution; the fit is then
+    flagged ``rank_deficient``, as it always is for a wide matrix.
     """
     a = _as_matrix(a)
     m, n = a.shape
     b = _as_vector(b, m)
-    deficient = m < n  # never of full column rank
-    if not deficient:
-        try:
-            f = qr_mgs(a)
-            theta = _solve_upper(f.r, f.q.T @ b)
-        except RankDeficiencyError:
-            deficient = True
-    if deficient:
-        theta = np.linalg.lstsq(a, b, rcond=_BREAKDOWN_THRESHOLD)[0]
+    theta, _, rank, _ = np.linalg.lstsq(a, b, rcond=_BREAKDOWN_THRESHOLD)
     residual = _norm(b - a @ theta)
     return LeastSquaresFit(coefficients=theta, residual_norm=residual,
-                           rank_deficient=deficient)
+                           rank_deficient=bool(rank < n))
 
 
 def jacobi_svd(a) -> SvdFactors:

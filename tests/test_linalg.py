@@ -257,6 +257,20 @@ def test_lstsq_wide_matrix_takes_min_norm_path(shape):
         qr_mgs(a)
 
 
+def test_lstsq_cuts_a_tiny_column_against_the_largest_singular_value():
+    # column 1 is independent of the others but 1e-13 of their size: the
+    # cutoff is relative to the largest singular value, not to each
+    # column's own norm, so it is dropped and the fit is flagged
+    rng = np.random.default_rng(29)
+    a = rng.standard_normal((40, 4))
+    a[:, 1] *= 1e-13
+    b = rng.standard_normal(40)
+    fit = least_squares(a, b)
+    assert fit.rank_deficient
+    np.testing.assert_array_equal(
+        fit.coefficients, np.linalg.lstsq(a, b, rcond=1e-12)[0])
+
+
 def test_lstsq_matches_normal_equations():
     rng = np.random.default_rng(17)
     a = rng.standard_normal((30, 6))
