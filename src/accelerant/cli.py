@@ -62,7 +62,7 @@ from .problems import (
     reaction_diffusion,
     series_generator,
 )
-from .scalar import epsilon_scalar, iterated_aitken, rho, theta
+from .scalar import _INVERSE_RULE, epsilon_scalar, iterated_aitken, rho, theta
 
 __all__ = ["main", "BENCH_HEADER", "BENCH_METHODS", "SCALAR_METHODS"]
 
@@ -345,22 +345,20 @@ def _lozenge_update(diagonal: list, term) -> list:
 
     ``diagonal`` holds the entries e_k^(n) with k + n = i - 1, column 0
     first; the result holds those with k + n = i, from ``term`` = e_0^(i)
-    and e_k^(n) = e_{k-2}^(n+1) + 1/(e_{k-1}^(n+1) - e_{k-1}^(n)) per
-    component, with e_{-1} = 0.  A component whose difference breaks down
-    is NaN, and so is every later entry that reads it.  Adding one term
-    costs one inverse difference per column, so the running sequence
-    extends its table without rebuilding it.
+    and the inverse-difference step ``epsilon_scalar`` runs, per
+    component.  A component whose difference breaks down is NaN, and so
+    is every later entry that reads it.  Adding one term costs one
+    inverse difference per column, so the running sequence extends its
+    table without rebuilding it.
     """
+    _, gap, step = _INVERSE_RULE
     new = [term]
     back = 0.0
-    for a in diagonal:
+    for k, a in enumerate(diagonal, 1):
         b = new[-1]
-        d = b - a
-        # the scale is a maximum of magnitudes: never negative
-        safe = _passes(np.abs(d), np.maximum(np.abs(a), np.abs(b)))
-        q = np.where(safe, 1.0 / d, np.nan)
-        q += back
-        new.append(q)
+        d, size, scale = gap(k, a, b, back)
+        new.append(np.where(_passes(size, scale), step(k, d, size, a, b, back),
+                            np.nan))
         back = a
     return new
 

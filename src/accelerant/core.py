@@ -18,8 +18,8 @@ The sweep computes each column as array operations over all of its
 entries, masks the entries that read a flagged parent or fail the
 breakdown check, hands the column and its mask to the table as they are,
 and alone decides how a breakdown spreads and where a table ends.  The
-diagonal form of the lozenge update is not here: the command line's
-componentwise epsilon streams it in ``cli._lozenge_update``.
+command line's componentwise epsilon streams epsilon's rule along a
+diagonal instead, in ``cli._lozenge_update``.
 
 All arithmetic is plain 64-bit binary floating point.
 """
