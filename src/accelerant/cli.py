@@ -399,6 +399,13 @@ def _run_componentwise(problem: FixedPointProblem, tol: float, max_evals: int,
                 diagonal = _lozenge_update(diagonal, recent[-1])
         if evals < 2:
             continue
+        # picard's test on the plain iterates, which can run away while the
+        # accelerated point sits still: the run then reports the last one
+        step = norm(recent[-1] - recent[-2])
+        if not math.isfinite(step) or step > DIVERGENCE_FACTOR * initial:
+            accelerated = recent[-1]
+            status = "diverged"
+            break
         if kind == "aitken":
             accelerated = _componentwise_aitken(*recent)
         else:
