@@ -350,11 +350,16 @@ def _lozenge_update(diagonal: list, term) -> list:
     is every later entry that reads it.  Adding one term costs one
     inverse difference per column, so the running sequence extends its
     table without rebuilding it.
+
+    The step consumes ``diagonal``: each old entry leaves the list when it
+    is read and is dropped after its last read, as ``back``, so a step
+    holds one diagonal plus two entries.
     """
     _, gap, step = _INVERSE_RULE
     new = [term]
     back = 0.0
-    for k, a in enumerate(diagonal, 1):
+    for k in range(1, len(diagonal) + 1):
+        a, diagonal[k - 1] = diagonal[k - 1], None
         b = new[-1]
         d, size, scale = gap(k, a, b, back)
         new.append(np.where(_passes(size, scale), step(k, d, size, a, b, back),

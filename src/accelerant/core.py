@@ -244,8 +244,9 @@ class SequenceWindow:
         The view is C-order (count x N, scalars as one column), so
         differences between rows run over contiguous memory.  Where a BLAS
         product or a dot product follows, its result depends on the operand
-        layout, so those callers take an N x count C-order copy
-        (``.T.copy()``).
+        layout, so those callers read N x count C-order blocks: the
+        difference blocks of ``vector._difference_blocks``, written once in
+        that layout, and ``stea``'s one ``.T.copy()`` for its pairings.
         """
         if index < self._base or index + count - 1 > self.last_index:
             raise ValueError(

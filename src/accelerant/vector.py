@@ -168,12 +168,20 @@ def generalized_residual(window: SequenceWindow, coefficients: Sequence[float],
     return result
 
 
-def _difference_rows(window: SequenceWindow, n: int, count: int):
-    """Rows ``s_n ..``, ``ds_n ..`` and ``d2s_n ..`` of ``count`` terms."""
-    s_rows = window.rows(n, count)
-    d1 = s_rows[1:] - s_rows[:-1]
-    d2 = d1[1:] - d1[:-1]
-    return s_rows, d1, d2
+def _difference_blocks(s_rows: np.ndarray):
+    """First and second differences of ``count`` rows ``s_n ..`` as
+    N x (count - 1) and N x (count - 2) C-order blocks.
+
+    The matrix and dot products that read them round by operand layout,
+    so each block is written once, in that layout, by one subtraction of
+    transposed row views.
+    """
+    dimension, count = s_rows.shape[1], len(s_rows)
+    d1 = np.subtract(s_rows[1:].T, s_rows[:-1].T,
+                     out=np.empty((dimension, count - 1)))
+    d2 = np.subtract(d1[:, 1:], d1[:, :-1],
+                     out=np.empty((dimension, count - 2)))
+    return d1, d2
 
 
 def _tail_sums(gamma: np.ndarray) -> np.ndarray:
@@ -224,29 +232,28 @@ def vpe_extrapolate(window: SequenceWindow, method: VpeMethod, k: int,
     n = window.base_index if index is None else index
     if k < 0:
         raise ValueError("order k must be nonnegative")
-    s_rows, d1_rows, d2_rows = _difference_rows(window, n, k + 2)
+    s_rows = window.rows(n, k + 2)
     if method.kind == "mmpe":
         basis = _mmpe_basis(method.test_vectors, s_rows.shape[1], k)
     if k == 0:
-        ds0 = d1_rows[0]
+        ds0 = s_rows[1] - s_rows[0]
         return VpeResult(value=s_rows[0], gamma=np.ones(1), residual=ds0,
                          order_k=0, pilot_index_n=n,
                          diagnostics={"residual_norm": float(np.linalg.norm(ds0))})
     s0 = s_rows[0]
-    # the matrix products and ds0's dot products round by operand layout:
-    # they get N x (k+1) and N x k C-order copies; least_squares takes the
-    # transposed rows, already in its column-major order
-    d1_full, d2 = d1_rows.T.copy(), d2_rows.T.copy()
+    # the N x (k+1) and N x k C-order blocks the products and ds0's dot
+    # products round in; least_squares makes its own column-major copy
+    d1_full, d2 = _difference_blocks(s_rows)
     d1, ds0 = d1_full[:, :k], d1_full[:, 0]
     angle_key = {"rre": "cos_theta", "mpe": "cos_phi", "mmpe": "cos_psi"}[method.kind]
 
     if method.kind == "rre":
-        fit = least_squares(d2_rows.T, -ds0)
+        fit = least_squares(d2, -ds0)
         a = fit.coefficients
         gamma = _gamma_from_coefficients(a)
         extras = {"rank_deficient": 1.0} if fit.rank_deficient else {}
     elif method.kind == "mpe":
-        fit = least_squares(d1_rows[:k].T, -d1_rows[k])
+        fit = least_squares(d1, -d1_full[:, k])
         c = np.append(fit.coefficients, 1.0)
         total = float(c.sum())
         if not breakdown_check(total, max(1.0, float(np.max(np.abs(c))))):
@@ -293,8 +300,8 @@ def vpe_oracle(window: SequenceWindow, method: VpeMethod, k: int,
         basis = _mmpe_basis(method.test_vectors, pilot.shape[0], k)
     if k == 0:
         return pilot.copy()
-    s_rows, d1_rows, d2_rows = _difference_rows(window, n, k + 2)
-    d1, d2 = d1_rows.T.copy(), d2_rows.T.copy()
+    s_rows = window.rows(n, k + 2)
+    d1, d2 = _difference_blocks(s_rows)
     if method.kind == "mpe":
         rows = [d1[:, i] for i in range(k)]
     elif method.kind == "rre":
@@ -443,13 +450,13 @@ def tea(window: SequenceWindow, weight, k: int,
     n = window.base_index if index is None else index
     if k < 0:
         raise ValueError("order k must be nonnegative")
-    s_rows, d1_rows, d2_rows = _difference_rows(window, n, 2 * k + 1)
+    s_rows = window.rows(n, 2 * k + 1)
     if s_rows.shape[1] != len(y):
         raise ValueError("dual vector dimension does not match the sequence")
     if k == 0:
         return Estimate(value=_frozen_array(s_rows[0], "value", 1), order_k=0,
                         pilot_index_n=n)
-    d1, d2 = d1_rows.T.copy(), d2_rows.T.copy()
+    d1, d2 = _difference_blocks(s_rows)
     pair2 = y @ d2                       # (y, d2s_{n+j}) for j = 0..2k-2
     offsets = np.arange(k)
     t_matrix = pair2[offsets[:, None] + offsets]
@@ -502,9 +509,12 @@ def stea(window: SequenceWindow, weight, k: int, variant: int,
     if k == 0:
         return Estimate(value=_frozen_array(s_rows[0], "value", 1), order_k=0,
                         pilot_index_n=n0, diagnostics={"variant": float(variant)})
-    s_cols = s_rows.T.copy()  # the pairings' dot products round by stride
-    pairings = SequenceWindow((y @ s_cols[:, j] for j in range(2 * k + 1)),
+    # the pairings' dot products round by stride: they read the columns of
+    # an N x (2k+1) C-order copy, dropped before the lift
+    s_cols = s_rows.T.copy()
+    pairings = SequenceWindow([y @ s_cols[:, j] for j in range(2 * k + 1)],
                               base_index=n0)
+    del s_cols
     scalar_table = epsilon_scalar(pairings, keep_full=True)
 
     # level l lifts e_{2l} and the vectors v_{2l} over n0 .. n0 + c + 1 to
@@ -518,7 +528,10 @@ def stea(window: SequenceWindow, weight, k: int, variant: int,
         # no check needed: building e_{2 level + 1}, which ``target``
         # reads, ran the same breakdown check on this same spread
         ratio = (target - e[1:c + 1]) / (e[hi] - e[lo])
-        current = current[1:c + 1] + ratio[:, None] * (current[hi] - current[lo])
+        lifted = current[hi] - current[lo]  # in place, with the same roundings
+        lifted *= ratio[:, None]
+        lifted += current[1:c + 1]
+        current = lifted
         e = target
     return Estimate(value=_frozen_array(current[0], "value", 1), order_k=k,
                     pilot_index_n=n0, diagnostics={"variant": float(variant)})

@@ -300,3 +300,37 @@ def deepest_finite_forward(diagonal):
     for candidate in diagonal[2::2]:
         best = np.where(np.isfinite(candidate), candidate, best)
     return best
+
+
+def difference_blocks_from_rows(s_rows):
+    """``vector._difference_blocks`` by the plain route: the row
+    differences first, then an N x count C-order copy of each block
+    (``.T.copy()``)."""
+    d1 = s_rows[1:] - s_rows[:-1]
+    d2 = d1[1:] - d1[:-1]
+    return d1.T.copy(), d2.T.copy()
+
+
+def stea_out_of_place(window, y, k, variant):
+    """``vector.stea``'s value by the plain route: the N x (2k+1) pairing
+    copy is held to the end, and each level is lifted into fresh arrays."""
+    from accelerant.core import SequenceWindow
+    from accelerant.scalar import epsilon_scalar
+
+    n0 = window.base_index
+    s_rows = window.rows(n0, 2 * k + 1)
+    if k == 0:
+        return s_rows[0].copy()
+    s_cols = s_rows.T.copy()
+    pairings = SequenceWindow((y @ s_cols[:, j] for j in range(2 * k + 1)),
+                              base_index=n0)
+    table = epsilon_scalar(pairings, keep_full=True)
+    e, current = pairings.rows(n0, 2 * k + 1)[:, 0], s_rows
+    for level in range(k):
+        c = 2 * (k - level) - 1
+        target = table.get_entries(2 * level + 2, n0, c)
+        lo, hi = slice(variant - 1, variant - 1 + c), slice(variant, variant + c)
+        ratio = (target - e[1:c + 1]) / (e[hi] - e[lo])
+        current = current[1:c + 1] + ratio[:, None] * (current[hi] - current[lo])
+        e = target
+    return current[0]

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from accelerant.problems import (
     SparseGraph,
     linear_iteration_generator,
     pagerank,
+    reaction_diffusion,
 )
 from accelerant.scalar import epsilon_scalar
 
@@ -576,6 +578,22 @@ class TestComponentwiseEpsilon:
                         fallbacks += 1
                 assert accelerated[c] == expected, (steps, c)
         assert fallbacks > 0
+
+    def test_a_step_holds_one_diagonal(self):
+        """The lozenge step consumes the old diagonal as it builds the new
+        one, so 60 evaluations on pde80 peak near (60 + 20) N doubles;
+        keeping the old diagonal to the end of each step reads 130 N."""
+        problem = reaction_diffusion(80)
+        tracemalloc.start()
+        try:
+            evals, _, status, _ = cli._run_componentwise(
+                problem, 1e-300, 60, "epsilon", False,
+                cli._problem_norm("pde"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (evals, status) == (61, "max_cycles")
+        assert peak <= (60 + 20) * problem.dimension * 8, peak
 
 
     def test_deepest_finite_scan_matches_the_full_scan(self):

@@ -554,6 +554,27 @@ class TestCycleMemory:
         assert report.cycles == 2
         assert peak <= bound, (peak, bound)
 
+    @pytest.mark.parametrize("width", [5, 10])
+    @pytest.mark.parametrize("method", ["rre", "mpe", "mmpe", "tea", "stea2"])
+    def test_window_transforms_hold_each_block_once(self, method, width):
+        """Each difference block is held once, in the layout its products
+        read: per window term, five N-vectors for the projection methods
+        and four for tea and stea2, plus a fixed few.  Holding row
+        differences beside C-order copies of them, and stea2's pairing
+        copy through its lift, costs six per term."""
+        problem = reaction_diffusion(80)
+        config = CycleConfig(method=method, width_m=width, tol=1e-300,
+                             max_cycles=2)
+        if method in ("tea", "stea2"):
+            per_term, terms = 4, 2 * width + 1
+            extra = 10 if method == "tea" else 4
+        else:
+            per_term, terms, extra = 5, width + 2, 5
+        bound = (per_term * terms + extra) * problem.dimension * 8
+        report, peak = _traced_peak(problem, config)
+        assert report.cycles == 2
+        assert peak <= bound, (peak, bound)
+
 
 # ---------------------------------------------------------------------------
 # the run contract: every run ends in a report that accounts for it

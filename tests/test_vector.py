@@ -5,6 +5,7 @@ import pytest
 
 from accelerant.core import BreakdownError, SequenceWindow
 from accelerant.linalg import RankDeficiencyError, qr_mgs
+from accelerant import vector
 from accelerant.problems import (
     fredholm,
     linear_iteration_generator,
@@ -32,6 +33,8 @@ from accelerant.vector import (
     vpe_extrapolate,
     vpe_oracle,
 )
+
+import _oracles as oracles
 
 ALL_METHODS = [VpeMethod.mpe(), VpeMethod.rre(), VpeMethod.mmpe()]
 
@@ -87,6 +90,82 @@ def test_scalar_window_runs_as_one_component_vectors(name, k):
     vector = call(SequenceWindow([np.array([t]) for t in SCALAR_TERMS]), k)
     assert scalar.shape == (1,)
     assert scalar.tobytes() == vector.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the difference blocks against the plain route, bit for bit
+
+
+def _outcome(call):
+    """A call's value as bytes, or its exception's type and message."""
+    try:
+        return np.asarray(call()).tobytes()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _plain_route_windows(rng, count):
+    """Random windows of 2k + 2 terms, N from 1 to 3000, k from 0 to 6;
+    every fourth is narrower than k + 1."""
+    for i in range(count):
+        k = int(rng.integers(0, 7))
+        if i % 4 == 0:
+            dim = int(rng.integers(1, k + 2))
+        else:
+            dim = int(rng.choice([2, 7, 64, 513, 3000]))
+        terms = rng.standard_normal((2 * k + 2, dim)) * rng.uniform(1e-3, 1e3)
+        yield SequenceWindow(terms, int(rng.integers(-3, 4))), k
+
+
+def test_difference_blocks_and_their_transforms_match_the_plain_route():
+    """The blocks equal the row differences' ``.T.copy()`` copies bit for
+    bit and in layout, and so do the rre, mpe, mmpe and tea values built
+    on either; stea's in-place lift equals its out-of-place one."""
+    rng = np.random.default_rng(20261020)
+    for window, k in _plain_route_windows(rng, 48):
+        n, dim = window.base_index, window.dimension
+        s_rows = window.rows(n, 2 * k + 2)
+        for got, expected in zip(vector._difference_blocks(s_rows),
+                                 oracles.difference_blocks_from_rows(s_rows)):
+            assert got.flags.c_contiguous and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+        y = rng.standard_normal(dim)
+        basis = rng.standard_normal((dim, k)) if k else None
+        calls = [lambda m=m: vpe_extrapolate(window, m, k).value
+                 for m in (VpeMethod.rre(), VpeMethod.mpe(),
+                           VpeMethod.mmpe(basis))]
+        calls.append(lambda: tea(window, y, k).value)
+        calls.append(lambda: vpe_oracle(window, VpeMethod.rre(), k))
+        got = [_outcome(call) for call in calls]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vector, "_difference_blocks",
+                          oracles.difference_blocks_from_rows)
+            assert got == [_outcome(call) for call in calls]
+        for variant in (1, 2):
+            assert (_outcome(lambda: stea(window, y, k, variant).value)
+                    == _outcome(lambda: oracles.stea_out_of_place(
+                        window, y, k, variant)))
+
+
+def test_the_plain_route_windows_reach_every_transform():
+    """The windows above run every compared transform to a value at some
+    order k >= 1, on a window narrower than k + 1 among them."""
+    rng = np.random.default_rng(20261020)
+    reached = set()
+    for window, k in _plain_route_windows(rng, 48):
+        if k == 0:
+            continue
+        y = np.ones(window.dimension)
+        narrow = window.dimension < k + 1
+        for name, call in (
+                ("rre", lambda: vpe_extrapolate(window, VpeMethod.rre(), k)),
+                ("mpe", lambda: vpe_extrapolate(window, VpeMethod.mpe(), k)),
+                ("tea", lambda: tea(window, y, k)),
+                ("stea", lambda: stea(window, y, k, 2))):
+            if isinstance(_outcome(lambda: call().value), bytes):
+                reached.add((name, narrow))
+    assert reached == {(name, narrow) for name in ("rre", "mpe", "tea", "stea")
+                       for narrow in (False, True)}
 
 
 # ---------------------------------------------------------------------------
