@@ -528,7 +528,8 @@ def stea(window: SequenceWindow, weight, k: int, variant: int,
         # no check needed: building e_{2 level + 1}, which ``target``
         # reads, ran the same breakdown check on this same spread
         ratio = (target - e[1:c + 1]) / (e[hi] - e[lo])
-        lifted = current[hi] - current[lo]  # in place, with the same roundings
+        # current[1:c+1] + ratio * (current[hi] - current[lo]), in place
+        lifted = current[hi] - current[lo]
         lifted *= ratio[:, None]
         lifted += current[1:c + 1]
         current = lifted

@@ -581,8 +581,7 @@ class TestComponentwiseEpsilon:
 
     def test_a_step_holds_one_diagonal(self):
         """The lozenge step consumes the old diagonal as it builds the new
-        one, so 60 evaluations on pde80 peak near (60 + 20) N doubles;
-        keeping the old diagonal to the end of each step reads 130 N."""
+        one, so 60 evaluations on pde80 peak near (60 + 20) N doubles."""
         problem = reaction_diffusion(80)
         tracemalloc.start()
         try:

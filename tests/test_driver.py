@@ -559,9 +559,7 @@ class TestCycleMemory:
     def test_window_transforms_hold_each_block_once(self, method, width):
         """Each difference block is held once, in the layout its products
         read: per window term, five N-vectors for the projection methods
-        and four for tea and stea2, plus a fixed few.  Holding row
-        differences beside C-order copies of them, and stea2's pairing
-        copy through its lift, costs six per term."""
+        and four for tea and stea2, plus a fixed few."""
         problem = reaction_diffusion(80)
         config = CycleConfig(method=method, width_m=width, tol=1e-300,
                              max_cycles=2)

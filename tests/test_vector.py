@@ -106,11 +106,11 @@ def _outcome(call):
 
 def _plain_route_windows(rng, count):
     """Random windows of 2k + 2 terms, N from 1 to 3000, k from 0 to 6;
-    every fourth is narrower than k + 1."""
+    every fourth with k >= 1 is narrower than k + 1."""
     for i in range(count):
         k = int(rng.integers(0, 7))
-        if i % 4 == 0:
-            dim = int(rng.integers(1, k + 2))
+        if i % 4 == 0 and k:
+            dim = int(rng.integers(1, k + 1))
         else:
             dim = int(rng.choice([2, 7, 64, 513, 3000]))
         terms = rng.standard_normal((2 * k + 2, dim)) * rng.uniform(1e-3, 1e3)
@@ -120,8 +120,11 @@ def _plain_route_windows(rng, count):
 def test_difference_blocks_and_their_transforms_match_the_plain_route():
     """The blocks equal the row differences' ``.T.copy()`` copies bit for
     bit and in layout, and so do the rre, mpe, mmpe and tea values built
-    on either; stea's in-place lift equals its out-of-place one."""
+    on either; stea's in-place lift equals its out-of-place one.  Each
+    transform reaches a value at some k >= 1 on windows both wider and
+    narrower than k + 1."""
     rng = np.random.default_rng(20261020)
+    reached = set()
     for window, k in _plain_route_windows(rng, 48):
         n, dim = window.base_index, window.dimension
         s_rows = window.rows(n, 2 * k + 2)
@@ -131,40 +134,29 @@ def test_difference_blocks_and_their_transforms_match_the_plain_route():
             assert got.tobytes() == expected.tobytes()
         y = rng.standard_normal(dim)
         basis = rng.standard_normal((dim, k)) if k else None
-        calls = [lambda m=m: vpe_extrapolate(window, m, k).value
-                 for m in (VpeMethod.rre(), VpeMethod.mpe(),
-                           VpeMethod.mmpe(basis))]
-        calls.append(lambda: tea(window, y, k).value)
-        calls.append(lambda: vpe_oracle(window, VpeMethod.rre(), k))
-        got = [_outcome(call) for call in calls]
+        calls = {
+            "rre": lambda: vpe_extrapolate(window, VpeMethod.rre(), k).value,
+            "mpe": lambda: vpe_extrapolate(window, VpeMethod.mpe(), k).value,
+            "mmpe": lambda: vpe_extrapolate(window, VpeMethod.mmpe(basis),
+                                            k).value,
+            "tea": lambda: tea(window, y, k).value,
+            "oracle": lambda: vpe_oracle(window, VpeMethod.rre(), k)}
+        got = {name: _outcome(call) for name, call in calls.items()}
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(vector, "_difference_blocks",
                           oracles.difference_blocks_from_rows)
-            assert got == [_outcome(call) for call in calls]
+            assert got == {name: _outcome(call)
+                           for name, call in calls.items()}
         for variant in (1, 2):
-            assert (_outcome(lambda: stea(window, y, k, variant).value)
-                    == _outcome(lambda: oracles.stea_out_of_place(
-                        window, y, k, variant)))
-
-
-def test_the_plain_route_windows_reach_every_transform():
-    """The windows above run every compared transform to a value at some
-    order k >= 1, on a window narrower than k + 1 among them."""
-    rng = np.random.default_rng(20261020)
-    reached = set()
-    for window, k in _plain_route_windows(rng, 48):
-        if k == 0:
-            continue
-        y = np.ones(window.dimension)
-        narrow = window.dimension < k + 1
-        for name, call in (
-                ("rre", lambda: vpe_extrapolate(window, VpeMethod.rre(), k)),
-                ("mpe", lambda: vpe_extrapolate(window, VpeMethod.mpe(), k)),
-                ("tea", lambda: tea(window, y, k)),
-                ("stea", lambda: stea(window, y, k, 2))):
-            if isinstance(_outcome(lambda: call().value), bytes):
-                reached.add((name, narrow))
-    assert reached == {(name, narrow) for name in ("rre", "mpe", "tea", "stea")
+            got[f"stea{variant}"] = _outcome(
+                lambda: stea(window, y, k, variant).value)
+            assert got[f"stea{variant}"] == _outcome(
+                lambda: oracles.stea_out_of_place(window, y, k, variant))
+        if k:
+            reached |= {(name, dim < k + 1) for name, outcome in got.items()
+                        if isinstance(outcome, bytes)}
+    names = ("rre", "mpe", "mmpe", "tea", "oracle", "stea1", "stea2")
+    assert reached == {(name, narrow) for name in names
                        for narrow in (False, True)}
 
 
