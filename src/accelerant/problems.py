@@ -194,15 +194,19 @@ class FredholmDiscretization:
         return self.kernel_matrix * self.weights
 
     def as_fixed_point(self) -> FixedPointProblem:
-        """Picard map u -> source + coupling * (operator u), started at source."""
+        """Picard map u -> source + coupling * (operator u), started at source.
+
+        The map holds the weighted operator, not the discretization, so a
+        problem keeps one N x N matrix, not also the kernel.
+        """
         weighted = self.operator_matrix()
-        coupling = self.coupling
+        coupling, source = self.coupling, self.source
 
         def apply_map(u: np.ndarray) -> np.ndarray:
-            return self.source + coupling * (weighted @ u)
+            return source + coupling * (weighted @ u)
 
         return FixedPointProblem(dimension=self.size, mapping=apply_map,
-                                 initial_guess=self.source)
+                                 initial_guess=source)
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +290,10 @@ def linear_iteration_generator(n: int, spectral_radius: float,
     estimate = _power_iteration_estimate(raw, rng.standard_normal(n))
     if estimate == 0.0:
         raise ValueError("degenerate random matrix (zero spectral estimate)")
-    matrix = (spectral_radius / estimate) * raw
+    raw *= spectral_radius / estimate
     solution = rng.standard_normal(n)
-    offset = solution - matrix @ solution
-    return LinearIteration(matrix=matrix, offset=offset, solution=solution,
+    offset = solution - raw @ solution
+    return LinearIteration(matrix=raw, offset=offset, solution=solution,
                            spectral_radius_estimate=spectral_radius)
 
 
@@ -365,7 +369,11 @@ def reaction_diffusion(p_grid: int) -> FixedPointProblem:
 
 
 def _default_kernel(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return np.exp(-np.abs(x - t))
+    """exp(-|x - t|), evaluated in the one array the difference makes."""
+    kernel = np.subtract(x, t)
+    np.abs(kernel, out=kernel)
+    np.negative(kernel, out=kernel)
+    return np.exp(kernel, out=kernel)
 
 
 def _default_source(x: np.ndarray) -> np.ndarray:
@@ -376,18 +384,26 @@ def fredholm_discretization(n: int, coupling: float,
                             kernel: Callable = _default_kernel,
                             source: Callable = _default_source
                             ) -> FredholmDiscretization:
-    """Trapezoid collocation of u = source + coupling * integral(kernel u)."""
+    """Trapezoid collocation of u = source + coupling * integral(kernel u).
+
+    Building holds at most two N x N matrices: the kernel samples go
+    straight into the discretization, and the coupling check takes the
+    infinity norm in place on one operator matrix, by the reduction
+    ``np.linalg.norm(a, np.inf)`` runs.
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
     nodes = np.linspace(0.0, 1.0, n)
     spacing = nodes[1] - nodes[0]
     weights = np.full(n, spacing)
     weights[0] = weights[-1] = spacing / 2.0
-    kernel_matrix = kernel(nodes[:, None], nodes[None, :])
-    disc = FredholmDiscretization(nodes=nodes, weights=weights,
-                                  kernel_matrix=kernel_matrix,
-                                  coupling=coupling, source=source(nodes))
-    operator_norm = float(np.linalg.norm(disc.operator_matrix(), np.inf))
+    disc = FredholmDiscretization(
+        nodes=nodes, weights=weights,
+        kernel_matrix=kernel(nodes[:, None], nodes[None, :]),
+        coupling=coupling, source=source(nodes))
+    magnitudes = disc.operator_matrix()
+    np.abs(magnitudes, out=magnitudes)
+    operator_norm = float(np.add.reduce(magnitudes, axis=1).max(initial=0))
     if abs(coupling) * operator_norm >= 1.0:
         warnings.warn(
             "coupling * operator norm = "

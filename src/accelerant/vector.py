@@ -509,12 +509,15 @@ def stea(window: SequenceWindow, weight, k: int, variant: int,
     if k == 0:
         return Estimate(value=_frozen_array(s_rows[0], "value", 1), order_k=0,
                         pilot_index_n=n0, diagnostics={"variant": float(variant)})
-    # the pairings' dot products round by stride: they read the columns of
-    # an N x (2k+1) C-order copy, dropped before the lift
-    s_cols = s_rows.T.copy()
-    pairings = SequenceWindow([y @ s_cols[:, j] for j in range(2 * k + 1)],
-                              base_index=n0)
-    del s_cols
+    # the pairings' dot products round by stride: BLAS dots a strided
+    # operand in one loop, symmetric in the two operands, so a vecdot of
+    # the rows against a stride-2 copy of y rounds as the dots of y with
+    # the columns of an N x (2k+1) C-order copy (``tests/_oracles.py``
+    # pins the two); the copy is dropped before the lift
+    y_strided = np.empty(2 * len(y))[::2]
+    y_strided[:] = y
+    pairings = SequenceWindow(np.vecdot(s_rows, y_strided), base_index=n0)
+    del y_strided
     scalar_table = epsilon_scalar(pairings, keep_full=True)
 
     # level l lifts e_{2l} and the vectors v_{2l} over n0 .. n0 + c + 1 to

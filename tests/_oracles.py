@@ -311,9 +311,16 @@ def difference_blocks_from_rows(s_rows):
     return d1.T.copy(), d2.T.copy()
 
 
+def stea_pairings_by_columns(s_rows, y):
+    """``vector.stea``'s pairings (y, s_j) by the plain route: one dot
+    product with each column of an N x count C-order copy of the rows."""
+    s_cols = s_rows.T.copy()
+    return [y @ s_cols[:, j] for j in range(s_cols.shape[1])]
+
+
 def stea_out_of_place(window, y, k, variant):
-    """``vector.stea``'s value by the plain route: the N x (2k+1) pairing
-    copy is held to the end, and each level is lifted into fresh arrays."""
+    """``vector.stea``'s value by the plain route: the pairings by columns,
+    and each level lifted into fresh arrays."""
     from accelerant.core import SequenceWindow
     from accelerant.scalar import epsilon_scalar
 
@@ -321,8 +328,7 @@ def stea_out_of_place(window, y, k, variant):
     s_rows = window.rows(n0, 2 * k + 1)
     if k == 0:
         return s_rows[0].copy()
-    s_cols = s_rows.T.copy()
-    pairings = SequenceWindow((y @ s_cols[:, j] for j in range(2 * k + 1)),
+    pairings = SequenceWindow(stea_pairings_by_columns(s_rows, y),
                               base_index=n0)
     table = epsilon_scalar(pairings, keep_full=True)
     e, current = pairings.rows(n0, 2 * k + 1)[:, 0], s_rows

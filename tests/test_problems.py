@@ -4,6 +4,8 @@ import copy
 import hashlib
 import math
 import pickle
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from accelerant.problems import (
     FredholmDiscretization,
     LinearIteration,
     SparseGraph,
+    _power_iteration_estimate,
     clustered_graph,
     fredholm,
     fredholm_discretization,
@@ -113,6 +116,22 @@ class TestLinearIterationGenerator:
         with pytest.raises(ValueError, match="matrix must be finite"):
             LinearIteration(matrix=[[math.nan]], offset=[0.0], solution=None,
                             spectral_radius_estimate=0.5)
+
+    @pytest.mark.parametrize("n, radius, seed", [(1, 0.5, 0), (7, 0.4, 99),
+                                                 (100, 0.9, 42)])
+    def test_matrix_is_the_scaled_draw_bit_for_bit(self, n, radius, seed):
+        """The matrix is (radius / estimate) * raw of the seeded draws, and
+        the offset makes the drawn solution its fixed point."""
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((n, n))
+        estimate = _power_iteration_estimate(raw, rng.standard_normal(n))
+        matrix = (radius / estimate) * raw
+        solution = rng.standard_normal(n)
+        iteration = linear_iteration_generator(n, radius, seed)
+        assert iteration.matrix.tobytes() == matrix.tobytes()
+        assert iteration.solution.tobytes() == solution.tobytes()
+        assert (iteration.offset.tobytes()
+                == (solution - matrix @ solution).tobytes())
 
 
 def assembled_laplacian(p_grid: int, spacing: float) -> np.ndarray:
@@ -263,6 +282,73 @@ class TestFredholm:
             FredholmDiscretization(nodes=disc.nodes, weights=disc.weights,
                                    kernel_matrix=kernel, coupling=0.5,
                                    source=disc.source)
+
+    @pytest.mark.parametrize("n", [2, 9, 500])
+    def test_kernel_samples_match_the_plain_formula_bit_for_bit(self, n):
+        disc = fredholm_discretization(n, 0.5)
+        x, t = disc.nodes[:, None], disc.nodes[None, :]
+        assert (disc.kernel_matrix.tobytes()
+                == np.exp(-np.abs(x - t)).tobytes())
+
+    @pytest.mark.parametrize("n, coupling", [(2, 0.5), (9, -0.9), (500, 0.5)])
+    def test_map_matches_the_weighted_kernel_bit_for_bit(self, n, coupling):
+        disc = fredholm_discretization(n, coupling)
+        operator = disc.kernel_matrix * disc.weights
+        problem = fredholm(n, coupling)
+        for u in np.random.default_rng(n).standard_normal((3, n)):
+            expected = disc.source + coupling * (operator @ u)
+            assert problem.mapping(u).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [9, 200])
+    def test_coupling_warning_fires_exactly_at_the_norm_bound(self, n):
+        """The warning fires for the smallest |coupling| whose product with
+        np.linalg.norm(kernel * weights, inf) reaches 1, and not one ulp
+        below it, for either sign."""
+        disc = fredholm_discretization(n, 0.0)
+        norm = np.linalg.norm(disc.kernel_matrix * disc.weights, np.inf)
+        edge = 1.0 / norm
+        while edge * norm < 1.0:
+            edge = np.nextafter(edge, np.inf)
+        while np.nextafter(edge, 0.0) * norm >= 1.0:
+            edge = np.nextafter(edge, 0.0)
+        for sign in (1.0, -1.0):
+            with pytest.warns(UserWarning, match="may not contract"):
+                fredholm_discretization(n, sign * edge)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fredholm_discretization(n, sign * np.nextafter(edge, 0.0))
+
+
+def _traced_build(build):
+    """The object ``build`` returns, with the bytes its call peaked at and
+    the bytes still held once it returned."""
+    tracemalloc.start()
+    try:
+        built = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return built, peak, held
+
+
+class TestBuilderMemory:
+    """The dense builders make each N x N operator in place: building peaks
+    at two matrices, and a problem holds one (counted in n^2 doubles)."""
+
+    @pytest.mark.parametrize("n", [500, 1500])
+    def test_fredholm_peaks_at_two_operators_and_holds_one(self, n):
+        problem, peak, held = _traced_build(lambda: fredholm(n, 0.5))
+        assert problem.dimension == n
+        matrix = 8 * n * n
+        assert peak <= 2.5 * matrix, peak / matrix
+        assert held <= 1.25 * matrix, held / matrix
+
+    def test_linear_generator_peaks_at_two_matrices(self):
+        n = 1000
+        iteration, peak, _ = _traced_build(
+            lambda: linear_iteration_generator(n, 0.9, 42))
+        assert iteration.dimension == n
+        assert peak <= 2.6 * 8 * n * n, peak / (8 * n * n)
 
 
 def iterate_to_fixed_point(problem, steps=400):

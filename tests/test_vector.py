@@ -160,6 +160,36 @@ def test_difference_blocks_and_their_transforms_match_the_plain_route():
                        for narrow in (False, True)}
 
 
+def test_stea_pairings_match_the_column_route_bit_for_bit():
+    """stea pairs y with its terms by one vecdot against a strided copy of
+    y; each pairing equals the dot product with a column of the terms'
+    N x (2k+1) C-order copy bit for bit, for N from 1 to 20000 and terms
+    and weights scaled from 1e-5 to 1e5."""
+    rng = np.random.default_rng(20261021)
+    seen = []
+
+    def recording_epsilon(pairings, **options):
+        seen.append(pairings)
+        return epsilon_scalar(pairings, **options)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vector, "epsilon_scalar", recording_epsilon)
+        for dim in (1, 2, 3, 17, 100, 1001, 6400, 20000):
+            for _ in range(4):
+                k = int(rng.integers(1, 7))
+                terms = (rng.standard_normal((2 * k + 1, dim))
+                         * 10.0 ** rng.uniform(-5, 5))
+                window = SequenceWindow(terms, int(rng.integers(-3, 4)))
+                y = rng.standard_normal(dim) * 10.0 ** rng.uniform(-5, 5)
+                seen.clear()
+                _outcome(lambda: stea(window, y, k, 1 + dim % 2))
+                expected = oracles.stea_pairings_by_columns(
+                    window.rows(window.base_index, 2 * k + 1), y)
+                assert seen[0].base_index == window.base_index
+                assert (np.array(seen[0].terms).tobytes()
+                        == np.array(expected).tobytes())
+
+
 # ---------------------------------------------------------------------------
 # generalized residual
 
