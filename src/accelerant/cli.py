@@ -126,17 +126,24 @@ def _scalar_window(args) -> tuple[SequenceWindow, str]:
 
 def _accelerate(window, method: str):
     """The best estimate, the accelerated step behind the stagnation
-    diagnostic (None if there is none) and the flagged entries; raises
-    :class:`BreakdownError` when no accelerated estimate exists."""
+    diagnostic (None if there is none) and a description of the breakdowns
+    (None if there were none); raises :class:`BreakdownError` when no
+    accelerated estimate exists."""
     if method == "aitken":
-        levels = iterated_aitken(window, max_k=(len(window) - 1) // 2)
+        max_k = (len(window) - 1) // 2
+        levels = iterated_aitken(window, max_k=max_k)
         if len(levels) < 2:
             raise BreakdownError("delta-squared completes no level")
         deepest = levels[-1]
         best = deepest[-1]
         acc_step = abs(deepest[-1].value - deepest[-2].value) \
             if len(deepest) >= 2 else abs(best.value - levels[-2][-1].value)
-        return best, acc_step, []
+        # iterated_aitken stops short of max_k only on a breakdown
+        breakdowns = None
+        if len(levels) - 1 < max_k:
+            breakdowns = (f"delta-squared level {len(levels)} broke down "
+                          f"(stopped at level {len(levels) - 1} of {max_k})")
+        return best, acc_step, breakdowns
     transform = {"epsilon": epsilon_scalar, "rho": rho, "theta": theta}[method]
     # the full table: the stagnation diagnostic may read a column the
     # rolling table has already evicted
@@ -152,7 +159,12 @@ def _accelerate(window, method: str):
         shallower = sorted(tableau.column(best.order_k - 2).items())
         if shallower:
             acc_step = abs(best.value - shallower[-1][1])
-    return best, acc_step, tableau.flagged_entries()
+    flagged = tableau.flagged_entries()
+    breakdowns = None
+    if flagged:
+        breakdowns = (f"{len(flagged)} flagged entries (first at column "
+                      f"{flagged[0][0]}, index {flagged[0][1]})")
+    return best, acc_step, breakdowns
 
 
 def cmd_scalar(args) -> int:
@@ -167,7 +179,7 @@ def cmd_scalar(args) -> int:
 
     lines = [f"sequence: {label}", f"method: {args.method}"]
     try:
-        best, acc_step, flagged = _accelerate(window, args.method)
+        best, acc_step, breakdowns = _accelerate(window, args.method)
     except BreakdownError as exc:
         print("\n".join(lines), file=sys.stderr)
         print(f"breakdown before any accelerated estimate: {exc}",
@@ -177,12 +189,7 @@ def cmd_scalar(args) -> int:
     lines.append(f"estimate = {_fmt(best.value)}")
     lines.append(f"order = {best.order_k}")
     lines.append(f"pilot index = {best.pilot_index_n}")
-    if flagged:
-        first = flagged[0]
-        lines.append(f"breakdowns: {len(flagged)} flagged entries "
-                     f"(first at column {first[0]}, index {first[1]})")
-    else:
-        lines.append("breakdowns: none")
+    lines.append(f"breakdowns: {breakdowns or 'none'}")
     if acc_step is not None and acc_step >= 0.5 * raw_step:
         lines.append(
             f"diagnostic: stagnation - accelerated step {acc_step:.3e} is not "
@@ -235,8 +242,7 @@ def _cycle_config(args, method: str, dimension: int) -> CycleConfig:
     return CycleConfig(method=method, width_m=args.m,
                        warmup_p=0 if warmup is None else warmup,
                        tol=args.tol, max_cycles=args.max_cycles,
-                       test_vectors=test_vectors, depth=args.depth,
-                       damping=args.damping)
+                       test_vectors=test_vectors, damping=args.damping)
 
 
 # ---------------------------------------------------------------------------
@@ -539,12 +545,11 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
                         help="spectral radius of the linear test map "
                              "(default 0.9)")
     parser.add_argument("--m", type=_positive_int, default=5,
-                        help="restart width for vector methods (default 5)")
+                        help="restart width for vector methods, history "
+                             "depth for anderson (default 5)")
     parser.add_argument("--p", type=int, default=None,
                         help="warmup map applications per cycle (default 0; "
                              "mmpe, sbeta and h default to 20)")
-    parser.add_argument("--depth", type=int, default=5,
-                        help="history depth for anderson (default 5)")
     parser.add_argument("--damping", type=float, default=1.0,
                         help="mixing parameter for anderson (default 1.0)")
 

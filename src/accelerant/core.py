@@ -244,9 +244,10 @@ class SequenceWindow:
         The view is C-order (count x N, scalars as one column), so
         differences between rows run over contiguous memory.  Where a BLAS
         product or a dot product follows, its result depends on the operand
-        layout, so those callers read N x count C-order blocks: the
-        difference blocks of ``vector._difference_blocks``, written once in
-        that layout, and ``stea``'s one ``.T.copy()`` for its pairings.
+        layout, so those callers read N x count C-order blocks, such as the
+        difference blocks ``vector._difference_blocks`` writes once in that
+        layout, or round as if they did: ``stea`` pairs the rows with a
+        stride-2 copy of its dual vector.
         """
         if index < self._base or index + count - 1 > self.last_index:
             raise ValueError(

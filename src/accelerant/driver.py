@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -110,8 +110,9 @@ class CycleConfig:
     collected.  ``test_vectors`` supplies projection columns for the
     ``mmpe``/``sbeta``/``h`` methods (canonical basis columns by default);
     ``tea`` and ``stea2`` pair with the current cycle's residual.
-    ``depth`` and ``damping`` configure ``anderson`` only, with ``depth``
-    falling back to ``width_m`` when unset.
+    ``depth`` and ``damping`` configure ``anderson`` only.  ``depth``, the
+    number of residual differences Anderson mixes, falls back to
+    ``width_m`` when unset; the command line sets it that way, by ``--m``.
     """
 
     method: str
@@ -168,8 +169,9 @@ class RunReport:
     """Outcome of one accelerated run.
 
     ``residual_history`` holds the relative residual that opened each
-    completed cycle; ``final_residual`` is the relative residual measured
-    at the stop check that ended the run.  ``reason`` names that stop:
+    completed cycle, and ``cycles``, derived from it, counts those cycles.
+    ``final_residual`` is the relative residual measured at the stop check
+    that ended the run.  ``reason`` names that stop:
     ``converged``, ``warmup`` (converged before the first cycle, during
     the one-time warmup), ``stalled`` (a window cycle returned its own
     start), ``max_cycles``, ``diverged`` (the residual outgrew
@@ -182,7 +184,7 @@ class RunReport:
     warmup_p: int
     width_m: int
     tol: float
-    cycles: int
+    cycles: int = field(init=False)
     iterations: int
     final_residual: float
     residual_history: tuple[float, ...]
@@ -191,10 +193,9 @@ class RunReport:
     fallback_cycles: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "residual_history",
-                           tuple(float(v) for v in self.residual_history))
-        if len(self.residual_history) != self.cycles:
-            raise ValueError("one recorded residual per completed cycle")
+        history = tuple(float(v) for v in self.residual_history)
+        object.__setattr__(self, "residual_history", history)
+        object.__setattr__(self, "cycles", len(history))
 
     def csv_row(self) -> str:
         """Serialize as the row matching CSV_HEADER."""
@@ -295,7 +296,7 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
         return RunReport(
             method=config.method, dimension=dimension,
             warmup_p=config.warmup_p, width_m=config.width_m,
-            tol=config.tol, cycles=cycles, iterations=counter["evals"],
+            tol=config.tol, iterations=counter["evals"],
             final_residual=final_rel, residual_history=tuple(history),
             seconds=time.perf_counter() - start_time, reason=reason,
             fallback_cycles=fallbacks)
@@ -303,7 +304,6 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
     current = np.array(problem.initial_guess, dtype=float)
     history: list[float] = []
     fallbacks = 0
-    cycles = 0
     stalled = False
     try:
         g_current = apply_map(current)
@@ -347,12 +347,12 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
             if res > DIVERGENCE_FACTOR * reference:
                 return report(rel, "diverged")
             if convergence_check(res, reference, config.tol):
-                reason = "warmup" if cycles == 0 and config.warmup_p > 0 \
+                reason = "warmup" if not history and config.warmup_p > 0 \
                     else "converged"
                 return report(rel, reason)
             if stalled:
                 return report(rel, "stalled")
-            if cycles >= config.max_cycles:
+            if len(history) >= config.max_cycles:
                 return report(rel, "max_cycles")
 
             if anderson is not None:
@@ -378,7 +378,6 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
                 # the next window starts from current, after any rerun warmup
                 stalled = _norm(current - seq[0]) <= STALL_TOL * _norm(seq[0])
             history.append(rel)
-            cycles += 1
             g_current = apply_map(current)
     except DivergenceError:  # a nonfinite map value ends the run at once
         return report(np.inf, "nonfinite")

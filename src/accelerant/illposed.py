@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import _frozen_array
 from .linalg import jacobi_svd
+from .vector import _tail_sums
 
 __all__ = [
     "STAGNATION_SLACK",
@@ -176,30 +177,23 @@ class FilterFactors:
     """Normalized spectral weights of one extrapolated iterate.
 
     ``gamma`` holds the convex combination weights (positive, summing to
-    one); ``alpha`` holds their trailing partial sums, which act as the
-    damping factor applied to each retained expansion term.  ``order`` is
-    the truncation level the factors belong to.
+    one); ``alpha``, derived from them, holds their trailing partial sums,
+    which act as the damping factor applied to each retained expansion
+    term.  ``order`` is the truncation level the factors belong to.
     """
 
     gamma: np.ndarray
-    alpha: np.ndarray
+    alpha: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         gamma = _frozen_array(self.gamma, "gamma", 1)
-        alpha = _frozen_array(self.alpha, "alpha", 1)
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "alpha", alpha)
-        if gamma.size != alpha.size + 1:
-            raise ValueError("gamma must have exactly one more entry than alpha")
         if np.any(gamma <= 0.0):
             raise ValueError("gamma entries must be positive")
         if abs(float(np.sum(gamma)) - 1.0) > 1e-12:
             raise ValueError("gamma entries must sum to one")
-        if alpha.size:
-            if alpha[0] > 1.0 or alpha[-1] <= 0.0:
-                raise ValueError("alpha must lie in (0, 1]")
-            if np.any(np.diff(alpha) > 0.0):
-                raise ValueError("alpha must be nonincreasing")
+        object.__setattr__(self, "alpha",
+                           _frozen_array(_tail_sums(gamma), "alpha", 1))
 
     @property
     def order(self) -> int:
@@ -216,6 +210,14 @@ def tsvd_solution(model: SvdModel, k: int) -> np.ndarray:
         raise ValueError(f"k must lie in [1, {model.rank}], got {k}")
     coeffs = _expansion_coefficients(model)
     return model.v[:, :k] @ coeffs[:k]
+
+
+def _plain_errors(model: SvdModel, exact: np.ndarray, k_max: int) -> list[float]:
+    """``||tsvd_solution(model, k) - exact||`` for k = 1 .. ``k_max``, from
+    one computation of the expansion coefficients."""
+    coeffs = _expansion_coefficients(model)
+    return [float(np.linalg.norm(model.v[:, :k] @ coeffs[:k] - exact))
+            for k in range(1, k_max + 1)]
 
 
 def rre_tsvd(model: SvdModel,
@@ -249,11 +251,8 @@ def rre_tsvd(model: SvdModel,
     results: list[tuple[np.ndarray, FilterFactors, float]] = []
     for k in range(1, k_max + 1):
         normalizer = float(np.sum(inverse_squares[: k + 1]))
-        gamma = inverse_squares[: k + 1] / normalizer
-        # alpha_i = sum of gamma_{i+1} .. gamma_k, a trailing cumulative sum.
-        alpha = np.cumsum(gamma[::-1])[::-1][1:]
-        factors = FilterFactors(gamma=gamma, alpha=alpha)
-        point = sequence.vectors[:, :k] @ (alpha * delta[:k])
+        factors = FilterFactors(gamma=inverse_squares[: k + 1] / normalizer)
+        point = sequence.vectors[:, :k] @ (factors.alpha * delta[:k])
         residual_norm = 1.0 / math.sqrt(normalizer)
         results.append((point, factors, residual_norm))
     return results
@@ -290,11 +289,7 @@ def error_optimal_index(model: SvdModel, exact_solution,
     limit = model.rank if k_max is None else k_max
     if not 1 <= limit <= model.rank:
         raise ValueError(f"k_max must lie in [1, {model.rank}], got {limit}")
-    errors = [
-        float(np.linalg.norm(tsvd_solution(model, k) - exact))
-        for k in range(1, limit + 1)
-    ]
-    return int(np.argmin(errors)) + 1
+    return int(np.argmin(_plain_errors(model, exact, limit))) + 1
 
 
 def csv_report(model: SvdModel, k_max: int, exact_solution=None) -> str:
@@ -315,15 +310,14 @@ def csv_report(model: SvdModel, k_max: int, exact_solution=None) -> str:
         exact_norm = float(np.linalg.norm(exact))
         if exact_norm == 0.0:
             raise ValueError("exact solution must be nonzero")
+        plain_errors = _plain_errors(model, exact, k_max)
     lines = ["k,generalized_residual,tsvd_rel_error,extrapolated_rel_error"]
     for k, (point, _, residual_norm) in enumerate(results, start=1):
         if exact is None:
             tsvd_err = ""
             rre_err = ""
         else:
-            plain = tsvd_solution(model, k)
-            tsvd_err = format(
-                float(np.linalg.norm(plain - exact)) / exact_norm, ".17g")
+            tsvd_err = format(plain_errors[k - 1] / exact_norm, ".17g")
             rre_err = format(
                 float(np.linalg.norm(point - exact)) / exact_norm, ".17g")
         lines.append(

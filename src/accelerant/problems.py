@@ -10,7 +10,7 @@ may share them across threads.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -85,25 +85,24 @@ class SparseGraph:
 
     ``edge_targets`` lists every edge's target, node-major: node 0's
     targets, then node 1's, and so on.  ``out_degrees[j]`` counts node j's
-    edges.  The constructor checks both and keeps read-only int64 copies.
-    ``original_ids`` maps each compact id back to the label it carried in
-    the source data (identity for programmatically built graphs).
+    edges, so ``node_count`` is their number.  The constructor checks both
+    and keeps read-only int64 copies.  ``original_ids`` maps each compact id
+    back to the label it carried in the source data (identity for
+    programmatically built graphs).
 
     Graphs compare by identity.  A pickled or copied graph is rebuilt
     through the constructor, so it comes back checked and read-only.
     """
 
-    node_count: int
     edge_targets: np.ndarray
     out_degrees: np.ndarray
     original_ids: tuple[int, ...]
+    node_count: int = field(init=False)
 
     def __post_init__(self) -> None:
-        n = self.node_count
+        n = len(self.original_ids)  # checked below to be len(out_degrees)
         if n < 1:
             raise ValueError("graph needs at least one node")
-        if len(self.original_ids) != n:
-            raise ValueError("one original id per node is required")
         # range checks first: Python ints too wide for int64 make an object
         # array, which still compares exactly
         degrees = np.asarray(self.out_degrees)
@@ -122,14 +121,15 @@ class SparseGraph:
             array = array.astype(np.int64)
             array.setflags(write=False)
             object.__setattr__(self, name, array)
+        object.__setattr__(self, "node_count", n)
 
     @property
     def edge_count(self) -> int:
         return int(self.edge_targets.size)
 
     def __reduce__(self):
-        return (type(self), (self.node_count, self.edge_targets,
-                             self.out_degrees, self.original_ids))
+        return (type(self), (self.edge_targets, self.out_degrees,
+                             self.original_ids))
 
     @classmethod
     def from_edges(cls, node_count: int,
@@ -142,45 +142,49 @@ class SparseGraph:
             edge = tuple(pairs[outside][0].tolist())
             raise ValueError(f"edge {edge} out of range")
         sources = pairs[:, 0].astype(np.int64)
-        return cls(node_count=node_count,
-                   edge_targets=pairs[np.argsort(sources, kind="stable"), 1],
+        return cls(edge_targets=pairs[np.argsort(sources, kind="stable"), 1],
                    out_degrees=np.bincount(sources, minlength=node_count),
                    original_ids=tuple(range(node_count)))
+
+
+def _trapezoid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point composite trapezoid rule on [0, 1]."""
+    nodes = np.linspace(0.0, 1.0, n)
+    spacing = nodes[1] - nodes[0]
+    weights = np.full(n, spacing)
+    weights[0] = weights[-1] = spacing / 2.0
+    return nodes, weights
 
 
 @dataclass(frozen=True)
 class FredholmDiscretization:
     """Trapezoid discretization of a second-kind integral equation.
 
-    ``kernel_matrix`` holds plain kernel samples K(x_i, x_j); the
-    iteration applies them with the quadrature weights folded in, so the
-    discrete operator is ``kernel_matrix * weights`` acting on samples.
+    ``kernel_matrix`` holds plain kernel samples K(x_i, x_j) over the n
+    ``nodes`` of the trapezoid rule on [0, 1], so its shape fixes them and
+    their ``weights``.  The iteration applies the samples with the weights
+    folded in, so the discrete operator is ``kernel_matrix * weights``
+    acting on samples.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
     kernel_matrix: np.ndarray
     coupling: float
     source: np.ndarray
+    nodes: np.ndarray = field(init=False)
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.coupling):
             raise ValueError("coupling must be finite")
-        nodes = _frozen_array(self.nodes, "nodes", 1)
-        n = nodes.size
+        kernel = _frozen_array(self.kernel_matrix, "kernel_matrix", 2)
+        n = kernel.shape[0]
         if n < 2:
             raise ValueError("at least two nodes are required")
-        weights = _frozen_array(self.weights, "weights", 1, n)
-        kernel = _frozen_array(self.kernel_matrix, "kernel_matrix", 2, n)
         if kernel.shape != (n, n):
             raise ValueError("kernel matrix must be square over the nodes")
-        spacing = 1.0 / (n - 1)
-        expected = np.full(n, spacing)
-        expected[0] = expected[-1] = spacing / 2.0
-        if not np.allclose(weights, expected, rtol=0.0, atol=1e-12):
-            raise ValueError("weights must be the composite trapezoid rule")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        for name, array in zip(("nodes", "weights"), _trapezoid(n)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         object.__setattr__(self, "kernel_matrix", kernel)
         object.__setattr__(self, "source",
                            _frozen_array(self.source, "source", 1, n))
@@ -393,12 +397,8 @@ def fredholm_discretization(n: int, coupling: float,
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    nodes = np.linspace(0.0, 1.0, n)
-    spacing = nodes[1] - nodes[0]
-    weights = np.full(n, spacing)
-    weights[0] = weights[-1] = spacing / 2.0
+    nodes, _ = _trapezoid(n)
     disc = FredholmDiscretization(
-        nodes=nodes, weights=weights,
         kernel_matrix=kernel(nodes[:, None], nodes[None, :]),
         coupling=coupling, source=source(nodes))
     magnitudes = disc.operator_matrix()
@@ -514,7 +514,7 @@ def clustered_graph(n: int, avg_deg: int, seed: int) -> SparseGraph:
     to_second[::4, -1] ^= True
     draws = rng.integers(np.where(to_second, split, 0),
                          np.where(to_second, n, split))
-    return SparseGraph(node_count=n, edge_targets=draws.reshape(-1),
+    return SparseGraph(edge_targets=draws.reshape(-1),
                        out_degrees=np.full(n, avg_deg),
                        original_ids=tuple(range(n)))
 

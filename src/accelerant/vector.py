@@ -112,16 +112,17 @@ class VpeResult:
     """Outcome of one polynomial extrapolation.
 
     ``value`` is the transformed vector, ``gamma`` the k+1 combination
-    weights over ``s_n .. s_{n+k}`` (they sum to one), and ``residual`` the
-    generalized residual of the combination.  ``diagnostics`` carries the
-    residual norm and the cosine of the angle between the leading difference
-    and its (orthogonal or oblique) projection.
+    weights over ``s_n .. s_{n+k}`` (they sum to one), ``order_k`` the k
+    they imply, and ``residual`` the generalized residual of the
+    combination.  ``diagnostics`` carries the residual norm and the cosine
+    of the angle between the leading difference and its (orthogonal or
+    oblique) projection.
     """
 
     value: np.ndarray
     gamma: np.ndarray
     residual: np.ndarray
-    order_k: int
+    order_k: int = field(init=False)
     pilot_index_n: int = 0
     diagnostics: Mapping[str, float] = field(default_factory=dict)
 
@@ -129,10 +130,7 @@ class VpeResult:
         for name in ("value", "gamma", "residual"):
             object.__setattr__(self, name,
                                _frozen_array(getattr(self, name), name, 1))
-        if self.order_k < 0:
-            raise ValueError("order_k must be nonnegative")
-        if len(self.gamma) != self.order_k + 1:
-            raise ValueError("gamma must hold order_k + 1 weights")
+        object.__setattr__(self, "order_k", len(self.gamma) - 1)
 
 
 @dataclass(frozen=True)
@@ -238,7 +236,7 @@ def vpe_extrapolate(window: SequenceWindow, method: VpeMethod, k: int,
     if k == 0:
         ds0 = s_rows[1] - s_rows[0]
         return VpeResult(value=s_rows[0], gamma=np.ones(1), residual=ds0,
-                         order_k=0, pilot_index_n=n,
+                         pilot_index_n=n,
                          diagnostics={"residual_norm": float(np.linalg.norm(ds0))})
     s0 = s_rows[0]
     # the N x (k+1) and N x k C-order blocks the products and ds0's dot
@@ -279,7 +277,7 @@ def vpe_extrapolate(window: SequenceWindow, method: VpeMethod, k: int,
     diag = _angle_diagnostics(ds0, residual, angle_key)
     diag.update(extras)
     return VpeResult(value=value, gamma=gamma, residual=residual,
-                     order_k=k, pilot_index_n=n, diagnostics=diag)
+                     pilot_index_n=n, diagnostics=diag)
 
 
 def vpe_oracle(window: SequenceWindow, method: VpeMethod, k: int,

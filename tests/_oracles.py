@@ -340,3 +340,13 @@ def stea_out_of_place(window, y, k, variant):
         current = current[1:c + 1] + ratio[:, None] * (current[hi] - current[lo])
         e = target
     return current[0]
+
+
+def tsvd_errors_per_level(model, exact, k_max):
+    """The plain iterates' errors ||x_k - exact|| for k = 1 .. k_max, one
+    ``tsvd_solution`` call per level, each of which recomputes the
+    expansion coefficients."""
+    from accelerant.illposed import tsvd_solution
+
+    return [float(np.linalg.norm(tsvd_solution(model, k) - exact))
+            for k in range(1, k_max + 1)]

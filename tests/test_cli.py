@@ -56,6 +56,25 @@ class TestScalarCommand:
                                         "--method", "aitken", "--terms", "11"])
         assert code == 0
         assert abs(parse_kv(out, "estimate") - math.log(2.0)) < 1e-8
+        assert "breakdowns: none" in out
+
+    def test_aitken_names_the_level_that_broke_down(self, capsys):
+        # level 2's second difference on geom is 0, so iterated delta-squared
+        # stops at level 1 of the 5 that twelve terms allow
+        code, out, _ = run_cli(capsys, ["scalar", "--series", "geom",
+                                        "--method", "aitken", "--terms", "12"])
+        assert code == 0
+        assert parse_kv(out, "order") == 1
+        assert "breakdowns: delta-squared level 2 broke down (stopped at " \
+            "level 1 of 5)" in out.splitlines()
+
+    def test_flagged_entries_name_the_first(self, capsys):
+        code, out, _ = run_cli(capsys, ["scalar", "--series", "log2",
+                                        "--method", "epsilon", "--terms",
+                                        "200"])
+        assert code == 0
+        assert "breakdowns: 1909 flagged entries (first at column 7, " \
+            "index 46)" in out.splitlines()
 
     def test_logarithmic_series_prints_stagnation(self, capsys):
         code, out, _ = run_cli(capsys, ["scalar", "--series", "logseq",
@@ -207,6 +226,18 @@ class TestSolveCommand:
         assert fields[5:8] == [str(report.cycles), str(report.iterations),
                                cli._fmt(report.final_residual)]
         assert report.cycles > 0
+
+    def test_anderson_mixes_at_the_width(self, capsys):
+        code, out, _ = run_cli(capsys, ["solve", "--problem", "pde",
+                                        "--grid", "20", "--method",
+                                        "anderson", "--m", "3"])
+        assert code == 0
+        report = run_cycles(reaction_diffusion(20), CycleConfig(
+            "anderson", width_m=3, max_cycles=1000))
+        fields = out.strip().splitlines()[1].split(",")
+        assert fields[3] == "3"
+        assert fields[5:8] == [str(report.cycles), str(report.iterations),
+                               cli._fmt(report.final_residual)]
 
     def test_zero_size_exits_one(self, capsys):
         code, out, err = run_cli(capsys, ["solve", "--problem", "linear",
@@ -411,6 +442,14 @@ class TestBenchCommand:
                                         "--method", "stea1"])
         assert code == 1
         assert "invalid choice: 'stea1'" in err
+
+    def test_picard_out_of_budget_exits_three(self, capsys):
+        code, out, _ = run_cli(capsys, ["bench", "--problem", "linear",
+                                        "--seed", "8", "--methods", "picard",
+                                        "--max-cycles", "50"])
+        assert code == 3
+        row = out.strip().splitlines()[1].split(",")
+        assert (row[0], row[1], row[4]) == ("picard", "50", "max_cycles")
 
     def test_empty_method_list_exits_one(self, capsys):
         code, _, err = run_cli(capsys, ["bench", "--problem", "linear",

@@ -376,12 +376,14 @@ class TestRunCycles:
         assert len(report.residual_history) == 3
         assert report.residual_history[0] == 1.0
 
-    def test_report_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            RunReport(method="rre", dimension=2, warmup_p=0, width_m=1,
-                      tol=1e-6, cycles=2, iterations=5, final_residual=0.1,
-                      residual_history=(1.0,), seconds=0.0,
+    def test_cycles_are_counted_from_the_history(self):
+        fields = dict(method="rre", dimension=2, warmup_p=0, width_m=1,
+                      tol=1e-6, iterations=5, final_residual=0.1,
+                      residual_history=(1.0, 0.5), seconds=0.0,
                       reason="converged")
+        assert RunReport(**fields).cycles == 2
+        with pytest.raises(TypeError, match="cycles"):
+            RunReport(cycles=2, **fields)
 
     def test_csv_row_round_trip(self):
         problem, _, _ = affine_problem(10, 6)

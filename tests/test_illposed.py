@@ -20,6 +20,8 @@ from accelerant.linalg import qr_mgs
 from accelerant.problems import illposed_synthetic
 from accelerant.vector import VpeMethod, vpe_extrapolate
 
+import _oracles as oracles
+
 
 def orthonormal(rng, rows, cols):
     return qr_mgs(rng.standard_normal((rows, cols))).q
@@ -193,7 +195,7 @@ def test_nonfinite_input_is_rejected(field):
     values[field].flat[0] = np.nan
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         if field == "gamma":
-            FilterFactors(gamma=values["gamma"], alpha=[0.5])
+            FilterFactors(gamma=values["gamma"])
         else:
             SvdModel(u=values["u"], sigma=values["sigma"], v=values["v"],
                      rhs=values["rhs"])
@@ -202,11 +204,21 @@ def test_nonfinite_input_is_rejected(field):
 class TestFilterFactors:
     def test_rejects_unnormalized_gamma(self):
         with pytest.raises(ValueError, match="sum to one"):
-            FilterFactors(gamma=[0.5, 0.4], alpha=[0.4])
+            FilterFactors(gamma=[0.5, 0.4])
 
-    def test_rejects_increasing_alpha(self):
-        with pytest.raises(ValueError, match="nonincreasing"):
-            FilterFactors(gamma=[0.2, 0.3, 0.5], alpha=[0.5, 0.8])
+    @pytest.mark.parametrize("gamma", [[1.0], [0.2, 0.3, 0.5],
+                                       np.arange(1.0, 41.0) / 820.0])
+    def test_alpha_is_the_trailing_sums_of_gamma(self, gamma):
+        factors = FilterFactors(gamma=gamma)
+        # alpha_i = gamma_{i+1} + ... + gamma_k, one reversed cumsum
+        want = np.cumsum(factors.gamma[::-1])[::-1][1:]
+        assert factors.alpha.tobytes() == want.tobytes()
+        assert factors.order == len(gamma) - 1
+        assert not factors.alpha.flags.writeable
+
+    def test_alpha_cannot_be_passed_in(self):
+        with pytest.raises(TypeError, match="alpha"):
+            FilterFactors(gamma=[0.2, 0.3, 0.5], alpha=[0.5, 0.4])
 
 
 class TestSelectTruncationIndex:
@@ -320,3 +332,15 @@ class TestCsvReport:
         plain = np.linalg.norm(tsvd_solution(model, 2) - exact)
         assert float(row[2]) == pytest.approx(
             plain / np.linalg.norm(exact), rel=1e-15)
+
+    def test_plain_errors_match_the_per_level_route_bit_for_bit(self):
+        model = illposed_synthetic(80, 0.3, 1e-2, 5)
+        exact = model.v @ (1.0 / np.arange(1, model.rank + 1))
+        k_max = 40
+        want = oracles.tsvd_errors_per_level(model, exact, k_max)
+        exact_norm = float(np.linalg.norm(exact))
+        rows = csv_report(model, k_max, exact_solution=exact).splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == \
+            [format(error / exact_norm, ".17g") for error in want]
+        assert error_optimal_index(model, exact, k_max) == \
+            int(np.argmin(want)) + 1

@@ -239,6 +239,26 @@ class TestFredholm:
         assert np.allclose(disc.weights[1:-1], spacing)
         assert disc.weights.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n", [2, 11, 500])
+    def test_nodes_and_weights_follow_from_the_kernel_shape(self, n):
+        # the n-point composite trapezoid rule on [0, 1], written out
+        nodes = np.linspace(0.0, 1.0, n)
+        spacing = nodes[1] - nodes[0]
+        weights = np.full(n, spacing)
+        weights[0] = weights[-1] = spacing / 2.0
+        disc = FredholmDiscretization(kernel_matrix=np.eye(n), coupling=0.5,
+                                      source=np.zeros(n))
+        assert disc.nodes.tobytes() == nodes.tobytes()
+        assert disc.weights.tobytes() == weights.tobytes()
+        built = fredholm_discretization(n, 0.5)
+        assert built.nodes.tobytes() == nodes.tobytes()
+        assert built.weights.tobytes() == weights.tobytes()
+        for array in (disc.nodes, disc.weights):
+            assert not array.flags.writeable
+        with pytest.raises(TypeError, match="nodes"):
+            FredholmDiscretization(nodes=nodes, kernel_matrix=np.eye(n),
+                                   coupling=0.5, source=np.zeros(n))
+
     def test_quadrature_consistency_against_refined_rule(self):
         disc = fredholm_discretization(500, 0.5)
         row_sums = disc.operator_matrix().sum(axis=1)
@@ -279,8 +299,7 @@ class TestFredholm:
         kernel = np.array(disc.kernel_matrix)
         kernel[2, 3] = math.inf
         with pytest.raises(ValueError, match="kernel_matrix must be finite"):
-            FredholmDiscretization(nodes=disc.nodes, weights=disc.weights,
-                                   kernel_matrix=kernel, coupling=0.5,
+            FredholmDiscretization(kernel_matrix=kernel, coupling=0.5,
                                    source=disc.source)
 
     @pytest.mark.parametrize("n", [2, 9, 500])
@@ -430,7 +449,8 @@ class TestPagerank:
                 array[0] = 0
         # the constructor copies: the caller's arrays stay its own
         targets, degrees = np.array([1, 0]), np.array([1, 1])
-        built = SparseGraph(2, targets, degrees, (0, 1))
+        built = SparseGraph(targets, degrees, (0, 1))
+        assert built.node_count == 2
         targets[0] = 0
         assert built.edge_targets.tolist() == [1, 0]
         assert targets.flags.writeable and degrees.flags.writeable
@@ -449,7 +469,7 @@ class TestPagerank:
     def test_out_of_range_target_is_rejected(self, bad):
         message = f"edge target {bad} out of range"
         with pytest.raises(ValueError, match=message):
-            SparseGraph(node_count=3, edge_targets=[1, 2, 0, bad],
+            SparseGraph(edge_targets=[1, 2, 0, bad],
                         out_degrees=[2, 0, 2], original_ids=(0, 1, 2))
 
     @pytest.mark.parametrize("degrees, message", [
@@ -462,7 +482,7 @@ class TestPagerank:
     ])
     def test_bad_degree_arrays_are_rejected(self, degrees, message):
         with pytest.raises(ValueError, match=message):
-            SparseGraph(node_count=3, edge_targets=[1, 2, 0, 1],
+            SparseGraph(edge_targets=[1, 2, 0, 1],
                         out_degrees=degrees, original_ids=(0, 1, 2))
 
     @pytest.mark.parametrize("edges", [[(0, 3)], [(-1, 0)], [(0, 2**70)]])

@@ -233,6 +233,7 @@ class TestVpeExtrapolate:
         result = vpe_extrapolate(w, method, 0)
         np.testing.assert_array_equal(result.value, np.array([3.0, -1.0]))
         np.testing.assert_array_equal(result.gamma, np.ones(1))
+        assert result.order_k == 0
 
     @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.kind)
     def test_finite_termination_two_modes(self, method):
@@ -255,6 +256,7 @@ class TestVpeExtrapolate:
         for _ in range(5):
             w = random_window(rng, 6, k + 2)
             result = vpe_extrapolate(w, method, k)
+            assert result.order_k == k
             assert abs(result.gamma.sum() - 1.0) <= 1e-12
             stacked = np.column_stack([w.term(j) for j in range(k + 1)])
             recombined = stacked @ result.gamma
