@@ -45,12 +45,7 @@ from .driver import (
     FixedPointProblem,
     run_cycles,
 )
-from .illposed import (
-    csv_report,
-    error_optimal_index,
-    rre_tsvd,
-    select_truncation_index,
-)
+from .illposed import _study, select_truncation_index
 from .linalg import qr_mgs
 from .problems import (
     clustered_graph,
@@ -168,11 +163,7 @@ def _accelerate(window, method: str):
 
 
 def cmd_scalar(args) -> int:
-    try:
-        window, label = _scalar_window(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    window, label = _scalar_window(args)
     if len(window.terms) < 3:
         print("error: need at least 3 terms to accelerate", file=sys.stderr)
         return 1
@@ -270,14 +261,13 @@ def cmd_illposed(args) -> int:
         smooth = 1.0 / np.arange(1, model.rank + 1)
         exact = model.v @ smooth
     k_max = min(args.k_max, model.rank - 1)  # rre_tsvd reads k_max + 1 terms
-    table = csv_report(model, k_max, exact_solution=exact)
-    residuals = [norm for _, _, norm in rre_tsvd(model, k_max)]
+    table, residuals, optimal = _study(model, k_max, exact)
     lines = [table.rstrip("\n")]
     if len(residuals) >= 3:
         selected = select_truncation_index(residuals)
         lines.append(f"# selected k = {selected} (residual stagnation)")
     if exact is not None:
-        lines.append(f"# error-optimal k = {error_optimal_index(model, exact, k_max)}")
+        lines.append(f"# error-optimal k = {optimal}")
     _emit("\n".join(lines), args.output)
     return 0
 

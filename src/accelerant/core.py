@@ -12,8 +12,9 @@ is built on the three primitives in this module:
   denominator is too small to divide by.
 
 One column sweep (``_column_sweep``) fills every tableau: Richardson,
-epsilon, rho, theta, vea and the E/H recursions each supply only their
-entry formula, written over whole columns, and the parents it reads.
+epsilon, rho, theta, iterated delta-squared, vea and the E/H recursions
+each supply only their entry formula, written over whole columns, and
+the parents it reads.
 The sweep computes each column as array operations over all of its
 entries, masks the entries that read a flagged parent or fail the
 breakdown check, hands the column and its mask to the table as they are,

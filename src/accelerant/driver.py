@@ -51,7 +51,6 @@ __all__ = [
     "FixedPointProblem",
     "METHOD_NAMES",
     "RunReport",
-    "convergence_check",
     "run_cycles",
 ]
 
@@ -212,52 +211,38 @@ class RunReport:
         ])
 
 
-def convergence_check(residual_norm: float, initial_norm: float,
-                      tol: float) -> bool:
-    """True when residual_norm / initial_norm <= tol.
+def _cycle_transform(config: CycleConfig, dimension: int):
+    """The function ``collapse(seq, y)`` that collapses one window of
+    iterates (the rows of ``seq``; tea and stea2 pair with ``y``) and
+    raises on transform breakdown.
 
-    A zero initial residual means the starting point is already a fixed
-    point, so the check reports convergence immediately.
+    Built once per run: the VPE method and the mmpe, sbeta or h test basis
+    are set up here, and a basis wider than ``dimension`` raises
+    ValueError before the run maps anything.
     """
-    residual_norm = float(residual_norm)
-    initial_norm = float(initial_norm)
-    tol = float(tol)
-    if residual_norm < 0.0 or initial_norm < 0.0:
-        raise ValueError("residual norms must be nonnegative")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if initial_norm == 0.0:
-        return True
-    return residual_norm <= tol * initial_norm
-
-
-def _extrapolate(config: CycleConfig, seq: np.ndarray,
-                 residual0: np.ndarray) -> np.ndarray:
-    """Collapse one window of iterates (the rows of ``seq``); raises on
-    transform breakdown."""
     m = config.width_m
     method = config.method
-    if method in ("rre", "mpe"):
-        vm = VpeMethod.rre() if method == "rre" else VpeMethod.mpe()
-        return vpe_extrapolate(SequenceWindow(seq), vm, m).value
-    if method == "mmpe":
-        return vpe_extrapolate(SequenceWindow(seq),
-                               VpeMethod.mmpe(config.test_vectors), m).value
+    if method in ("mmpe", "sbeta", "h"):
+        cols = _mmpe_basis(config.test_vectors, dimension, m)
+    if method in ("rre", "mpe", "mmpe"):
+        # mmpe keeps the config's array, whose layout its products round in
+        vm = VpeMethod(method, config.test_vectors if method == "mmpe" else None)
+        return lambda seq, y: vpe_extrapolate(SequenceWindow(seq), vm, m).value
     if method == "sbeta":
-        cols = _mmpe_basis(config.test_vectors, seq[0].shape[0], m)
-        return sbeta(SequenceWindow(seq),
-                     [cols[:, j] for j in range(m)]).value
+        ys = [cols[:, j] for j in range(m)]
+        return lambda seq, y: sbeta(SequenceWindow(seq), ys).value
     if method == "h":
-        cols = _mmpe_basis(config.test_vectors, seq[0].shape[0], m)
-        d1 = [seq[j + 1] - seq[j] for j in range(len(seq) - 1)]
-        basis = BasisFamily(lambda i, n: float(cols[:, i - 1] @ d1[n]))
-        table = h_algorithm(SequenceWindow(seq[:m + 1]), basis, m)
-        return table.get_entry(m, 0)
+        def collapse(seq, y):
+            d1 = [seq[j + 1] - seq[j] for j in range(len(seq) - 1)]
+            basis = BasisFamily(lambda i, n: float(cols[:, i - 1] @ d1[n]))
+            table = h_algorithm(SequenceWindow(seq[:m + 1]), basis, m)
+            return table.get_entry(m, 0)
+        return collapse
     if method == "vea":
-        return vea(SequenceWindow(seq)).get_entry(2 * m, 0)
+        return lambda seq, y: vea(SequenceWindow(seq)).get_entry(2 * m, 0)
     if method == "tea":
-        return tea(SequenceWindow(seq), residual0, m).value
-    return stea(SequenceWindow(seq), residual0, m, 2).value
+        return lambda seq, y: tea(SequenceWindow(seq), y, m).value
+    return lambda seq, y: stea(SequenceWindow(seq), y, m, 2).value
 
 
 @np.errstate(over="ignore")
@@ -276,12 +261,16 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
     cycles ran.  A nonfinite map value at any evaluation stops the run
     there with reason ``nonfinite``, not counting the cycle it interrupts.
     A starting residual whose norm overflows or underflows raises
-    ValueError.  A transform breakdown falls back to the window's last
-    plain iterate for that cycle (counted in ``fallback_cycles``).
+    ValueError, and so does an mmpe, sbeta or h test basis wider than the
+    dimension, before any map evaluation.  A transform breakdown falls
+    back to the window's last plain iterate for that cycle (counted in
+    ``fallback_cycles``).
     """
     start_time = time.perf_counter()
     dimension = problem.dimension
     counter = {"evals": 0}
+    collapse = None if config.method == "anderson" \
+        else _cycle_transform(config, dimension)
 
     def apply_map(point: np.ndarray) -> np.ndarray:
         counter["evals"] += 1
@@ -346,7 +335,7 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
             rel = res / reference
             if res > DIVERGENCE_FACTOR * reference:
                 return report(rel, "diverged")
-            if convergence_check(res, reference, config.tol):
+            if res <= config.tol * reference:
                 reason = "warmup" if not history and config.warmup_p > 0 \
                     else "converged"
                 return report(rel, reason)
@@ -367,7 +356,7 @@ def run_cycles(problem: FixedPointProblem, config: CycleConfig) -> RunReport:
                     # exact power-of-two scale keeps its products finite
                     residual *= 2.0 ** -math.frexp(res)[1]
                 try:
-                    value = _extrapolate(config, seq, residual)
+                    value = collapse(seq, residual)
                 except BreakdownError:
                     value = seq[-1]
                     fallbacks += 1

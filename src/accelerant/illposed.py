@@ -301,6 +301,13 @@ def csv_report(model: SvdModel, k_max: int, exact_solution=None) -> str:
     errors of the plain and extrapolated iterates.  Without an exact
     solution the error columns are left empty.
     """
+    return _study(model, k_max, exact_solution)[0]
+
+
+def _study(model: SvdModel, k_max: int, exact_solution=None):
+    """:func:`csv_report`'s table, the residual norms it lists and, given
+    an exact solution, the :func:`error_optimal_index` level (else None),
+    from one :func:`rre_tsvd` and one ``_plain_errors`` call."""
     results = rre_tsvd(model, k_max)
     exact = None
     exact_norm = 0.0
@@ -322,4 +329,6 @@ def csv_report(model: SvdModel, k_max: int, exact_solution=None) -> str:
                 float(np.linalg.norm(point - exact)) / exact_norm, ".17g")
         lines.append(
             f"{k},{format(residual_norm, '.17g')},{tsvd_err},{rre_err}")
-    return "\n".join(lines) + "\n"
+    optimal = None if exact is None else int(np.argmin(plain_errors)) + 1
+    return ("\n".join(lines) + "\n", [norm for _, _, norm in results],
+            optimal)

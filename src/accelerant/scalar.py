@@ -8,7 +8,9 @@ threshold; tableau builders
 everything that depends on them; reading a flagged entry raises.  Each
 builder supplies only its entry formula and the parents it reads; one
 column sweep in :mod:`accelerant.core` fills the table and applies that
-breakdown rule for all of them.
+breakdown rule for all of them.  :func:`iterated_aitken` sweeps the
+delta-squared rule that :func:`aitken_step` applies to three terms, and
+keeps the levels before the first broken entry.
 
 Estimates of the lozenge recursions live in the even tableau columns; odd
 columns are auxiliary quantities only.
@@ -173,44 +175,30 @@ def aitken_step(s0: float, s1: float, s2: float) -> Estimate:
     :class:`BreakdownError` when the second difference is negligible
     against the first differences.
     """
-    d0 = s1 - s0
-    d1 = s2 - s1
-    dd = d1 - d0
-    _require_safe(dd, max(abs(d0), abs(d1)),
+    carry, size, scale = _aitken_gap(1, s0, s1, s2)
+    _require_safe(carry[1], float(scale),
                   "second difference vanishes; delta-squared step undefined", 1)
-    value = s0 - d0 * d0 / dd
-    return Estimate(value, order_k=1,
-                    diagnostics={"min_denominator": abs(dd)})
+    return Estimate(_aitken_step(1, carry, size, s0, s1, s2), order_k=1,
+                    diagnostics={"min_denominator": size})
 
 
 def iterated_aitken(window: SequenceWindow, max_k: int) -> list[list[Estimate]]:
     """Repeatedly apply the delta-squared step, each level feeding the next.
 
-    Level 0 is the input; level k has 2k fewer entries.  A breakdown while
-    building a level discards that partial level and stops; fully
-    completed levels are returned.
+    Level 0 is the input; level k, column k of one delta-squared column
+    sweep, has 2k fewer entries.  A breakdown while building a level
+    discards that partial level and stops; fully completed levels are
+    returned.
     """
-    if not window.is_scalar:
-        raise ValueError("iterated delta-squared applies to scalar windows")
+    terms = _require_scalar(window, "iterated delta-squared")
     if len(window) < 2 * max_k + 1:
         raise ValueError(f"need at least {2 * max_k + 1} terms for {max_k} levels")
-    base = window.base_index
-    levels = [[Estimate(float(t), order_k=0, pilot_index_n=base + i)
-               for i, t in enumerate(window)]]
-    for k in range(1, max_k + 1):
-        prev = levels[-1]
-        level: list[Estimate] = []
-        try:
-            for i in range(len(prev) - 2):
-                e = aitken_step(prev[i].value, prev[i + 1].value,
-                                prev[i + 2].value)
-                level.append(Estimate(e.value, order_k=k,
-                                      pilot_index_n=prev[i].pilot_index_n,
-                                      diagnostics=e.diagnostics))
-        except BreakdownError:
-            break
-        levels.append(level)
-    return levels
+    table = _column_sweep(terms, window.base_index, (_AITKEN_RULE,),
+                          keep_full=True, last_column=max_k)
+    flagged = table.flagged_entries()  # sorted, so the first is shallowest
+    return [[Estimate(value, order_k=k, pilot_index_n=n)
+             for n, value in table.column(k).items()]
+            for k in table.stored_columns() if not flagged or k < flagged[0][0]]
 
 
 def shanks_oracle(window: SequenceWindow, k: int, n: int | None = None) -> Estimate:
@@ -322,6 +310,21 @@ def _theta_gap(k, o0, o1, o2, e1, e2):
 
 def _theta_step(k, denom, size, o0, o1, o2, e1, e2):
     return e1 + (e2 - e1) * (o2 - o1) / denom
+
+
+def _aitken_gap(k, s0, s1, s2):
+    d0, d1 = s1 - s0, s2 - s1
+    dd = d1 - d0
+    return (d0, dd), abs(dd), np.maximum(abs(d0), abs(d1))
+
+
+def _aitken_step(k, carry, size, s0, s1, s2):
+    d0, dd = carry
+    return s0 - d0 * d0 / dd
+
+
+#: The delta-squared column: entry (k, n) reads s_{k-1}^(n..n+2).
+_AITKEN_RULE = (((1, 0), (1, 1), (1, 2)), _aitken_gap, _aitken_step)
 
 
 def richardson_table(window: SequenceWindow, nodes: NodeSequence,

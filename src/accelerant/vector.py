@@ -167,18 +167,22 @@ def generalized_residual(window: SequenceWindow, coefficients: Sequence[float],
 
 
 def _difference_blocks(s_rows: np.ndarray):
-    """First and second differences of ``count`` rows ``s_n ..`` as
+    """First and second differences of ``count`` >= 3 rows ``s_n ..`` as
     N x (count - 1) and N x (count - 2) C-order blocks.
 
     The matrix and dot products that read them round by operand layout,
     so each block is written once, in that layout, by one subtraction of
-    transposed row views.
+    transposed row views.  Differences that overflow raise
+    :class:`NonexistenceError`: every first difference enters a second
+    one, so a finite second-difference block means both are finite.
     """
     dimension, count = s_rows.shape[1], len(s_rows)
     d1 = np.subtract(s_rows[1:].T, s_rows[:-1].T,
                      out=np.empty((dimension, count - 1)))
     d2 = np.subtract(d1[:, 1:], d1[:, :-1],
                      out=np.empty((dimension, count - 2)))
+    if not np.isfinite(d2).all():
+        raise NonexistenceError("the window's differences overflow")
     return d1, d2
 
 
@@ -429,10 +433,19 @@ def _vector_step(k, d, size, a, b, back):
     return d
 
 
-def _dual_vector(weight) -> np.ndarray:
-    if isinstance(weight, TeaWeight):
-        return weight.y
-    return TeaWeight(np.asarray(weight, dtype=np.float64)).y
+def _topological_rows(window: SequenceWindow, weight, k: int,
+                      index: int | None):
+    """The dual vector, the pilot index n and the rows ``s_n .. s_{n+2k}``
+    an order-k topological transform reads; ``weight`` is a
+    :class:`TeaWeight` or an array that makes one."""
+    y = weight.y if isinstance(weight, TeaWeight) else TeaWeight(weight).y
+    n = window.base_index if index is None else index
+    if k < 0:
+        raise ValueError("order k must be nonnegative")
+    s_rows = window.rows(n, 2 * k + 1)
+    if s_rows.shape[1] != len(y):
+        raise ValueError("dual vector dimension does not match the sequence")
+    return y, n, s_rows
 
 
 def tea(window: SequenceWindow, weight, k: int,
@@ -444,13 +457,7 @@ def tea(window: SequenceWindow, weight, k: int,
     shifted generalized residual orthogonal to the dual vector ``y``.  An
     order-k value consumes the 2k+1 terms ``s_n .. s_{n+2k}``.
     """
-    y = _dual_vector(weight)
-    n = window.base_index if index is None else index
-    if k < 0:
-        raise ValueError("order k must be nonnegative")
-    s_rows = window.rows(n, 2 * k + 1)
-    if s_rows.shape[1] != len(y):
-        raise ValueError("dual vector dimension does not match the sequence")
+    y, n, s_rows = _topological_rows(window, weight, k, index)
     if k == 0:
         return Estimate(value=_frozen_array(s_rows[0], "value", 1), order_k=0,
                         pilot_index_n=n)
@@ -459,6 +466,8 @@ def tea(window: SequenceWindow, weight, k: int,
     offsets = np.arange(k)
     t_matrix = pair2[offsets[:, None] + offsets]
     rhs = d1[:, :k].T @ y
+    if not (np.isfinite(pair2).all() and np.isfinite(rhs).all()):
+        raise NonexistenceError(f"pairings overflow at order {k}")
     try:
         c = lu_solve(t_matrix, rhs)
     except RankDeficiencyError as exc:
@@ -497,13 +506,7 @@ def stea(window: SequenceWindow, weight, k: int, variant: int,
     """
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
-    y = _dual_vector(weight)
-    n0 = window.base_index if index is None else index
-    if k < 0:
-        raise ValueError("order k must be nonnegative")
-    s_rows = window.rows(n0, 2 * k + 1)
-    if s_rows.shape[1] != len(y):
-        raise ValueError("dual vector dimension does not match the sequence")
+    y, n0, s_rows = _topological_rows(window, weight, k, index)
     if k == 0:
         return Estimate(value=_frozen_array(s_rows[0], "value", 1), order_k=0,
                         pilot_index_n=n0, diagnostics={"variant": float(variant)})

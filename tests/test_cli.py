@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from accelerant import cli
+from accelerant import cli, illposed
 from accelerant.core import SequenceWindow
 from accelerant.driver import (
     CSV_HEADER,
@@ -20,6 +20,7 @@ from accelerant.driver import (
 )
 from accelerant.problems import (
     SparseGraph,
+    illposed_synthetic,
     linear_iteration_generator,
     pagerank,
     reaction_diffusion,
@@ -134,6 +135,18 @@ class TestScalarCommand:
                                         "--method", "epsilon"])
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("1.0\n0.5\n", "need at least 3 terms to accelerate"),
+        ("1.0,2.0\n3.0,4.0\n5.0,6.0\n", "expected one number per line")])
+    def test_unusable_file_exits_one(self, capsys, tmp_path, text, message):
+        path = tmp_path / "seq.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, ["scalar", "--input", str(path),
+                                          "--method", "epsilon"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_file_term_exits_one(self, capsys, tmp_path, bad):
@@ -381,6 +394,29 @@ class TestIllposedCommand:
                 if not line.startswith("#")][1:]
         assert [line.split(",")[0] for line in data] == \
             [str(k) for k in range(1, 10)]
+
+
+    def test_one_study_gives_the_table_and_both_picks(self, capsys,
+                                                      monkeypatch):
+        model = illposed_synthetic(200, 1.0, 1e-2, 42)
+        exact = model.v @ (1.0 / np.arange(1, model.rank + 1))
+        triples = illposed.rre_tsvd(model, 40)
+        expected = [illposed.csv_report(model, 40, exact).rstrip("\n"),
+                    f"# selected k = "
+                    f"{illposed.select_truncation_index([r for *_, r in triples])}"
+                    " (residual stagnation)",
+                    f"# error-optimal k = "
+                    f"{illposed.error_optimal_index(model, exact, 40)}"]
+        calls = []
+        for name in ("rre_tsvd", "_plain_errors"):
+            def counted(*args, _name=name, _call=getattr(illposed, name)):
+                calls.append(_name)
+                return _call(*args)
+            monkeypatch.setattr(illposed, name, counted)
+        code, out, _ = run_cli(capsys, ["illposed", "--n", "200", "--exact"])
+        assert code == 0
+        assert out == "\n".join(expected) + "\n"
+        assert sorted(calls) == ["_plain_errors", "rre_tsvd"]
 
 
 class TestBenchCommand:

@@ -15,7 +15,6 @@ from accelerant.driver import (
     FixedPointProblem,
     METHOD_NAMES,
     RunReport,
-    convergence_check,
     run_cycles,
 )
 from accelerant.problems import (
@@ -110,22 +109,6 @@ class TestCycleConfig:
         assert CycleConfig(method="vea", width_m=4).inner_terms == 8
         assert CycleConfig(method="stea2", width_m=4).inner_terms == 8
         assert CycleConfig(method="anderson", width_m=4).inner_terms == 0
-
-
-class TestConvergenceCheck:
-    def test_threshold_decisions(self):
-        assert convergence_check(1e-7, 1.0, 1e-6)
-        assert not convergence_check(1e-5, 1.0, 1e-6)
-
-    def test_zero_initial_residual_converges(self):
-        assert convergence_check(0.0, 0.0, 1e-6)
-        assert convergence_check(5.0, 0.0, 1e-6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            convergence_check(-1.0, 1.0, 1e-6)
-        with pytest.raises(ValueError):
-            convergence_check(1.0, 1.0, 0.0)
 
 
 class TestRunCycles:
@@ -269,6 +252,38 @@ class TestRunCycles:
                     method=method, width_m=2, max_cycles=200))
             assert report.reason in REASONS
             assert len(report.residual_history) == report.cycles
+
+    @pytest.mark.parametrize("method, width", [
+        ("rre", 4), ("mpe", 3), ("mpe", 4), ("tea", 2), ("tea", 3),
+        ("tea", 4)])
+    def test_window_whose_differences_overflow_falls_back(self, method,
+                                                          width):
+        # past max|u| = 10 the map jumps to -+1.5e308: every iterate stays
+        # finite, but the window's differences (or tea's pairings with
+        # them) overflow, so the cycle falls back and the run diverges
+        def mapping(u):
+            if np.max(np.abs(u)) <= 10.0:
+                return 2.0 * u + 1.0
+            return np.where(u >= 0, -1.5e308, 1.5e308)
+
+        problem = FixedPointProblem(3, mapping, np.ones(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_cycles(problem, CycleConfig(
+                method=method, width_m=width, max_cycles=5))
+        assert report.reason == "diverged"
+        assert report.fallback_cycles == 1
+
+    @pytest.mark.parametrize("vectors", [None, np.eye(3)])
+    @pytest.mark.parametrize("method", ["mmpe", "sbeta", "h"])
+    def test_test_basis_wider_than_the_dimension_maps_nothing(self, method,
+                                                              vectors):
+        problem, counter = counted_problem(FixedPointProblem(
+            3, lambda u: 0.5 * u + 1.0, np.zeros(3)))
+        with pytest.raises(ValueError, match="k <= dimension|x >= 4"):
+            run_cycles(problem, CycleConfig(method=method, width_m=4,
+                                            test_vectors=vectors))
+        assert counter["evals"] == 0
 
     # rre with m = 2 and p = 1: evaluation 1 maps the start, 2 is the
     # warmup and 3 the first stop check; each cycle then spends three

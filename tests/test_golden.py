@@ -5,7 +5,9 @@
 step-halving nodes), ``e_algorithm`` and ``h_algorithm`` on a fixed set
 of windows, as ``float.hex`` strings, with the flagged positions; and,
 for the default table that evicts old columns, its stored columns,
-entries and best estimate.  Every value must match exactly.
+entries and best estimate.  It also holds the levels ``iterated_aitken``
+returns at full depth on each scalar window.  Every value must match
+exactly.
 
 Regenerate (only on purpose, when a recursion's arithmetic changes) with
 ``PYTHONPATH=src python tests/test_golden.py --write``.
@@ -24,6 +26,7 @@ from accelerant.scalar import (
     NodeSequence,
     e_algorithm,
     epsilon_scalar,
+    iterated_aitken,
     rho,
     richardson_table,
     theta,
@@ -114,12 +117,24 @@ def builders():
             yield "/".join(filter(None, (function, name, variant))), call
 
 
+def _aitken_levels(window: SequenceWindow) -> dict:
+    """Every level ``iterated_aitken`` completes at full depth, as
+    ``[k, n, hex]`` per entry."""
+    levels = iterated_aitken(window, max_k=(len(window) - 1) // 2)
+    return {"levels": [[e.order_k, e.pilot_index_n, _hex(e.value)]
+                       for level in levels for e in level]}
+
+
 def record() -> dict:
-    """Every recorded output, keyed as by :func:`builders`."""
+    """Every recorded output, keyed as by :func:`builders`, and the
+    ``iterated_aitken/window`` levels."""
     out = {}
     for key, call in builders():
         out[key] = _table(call(True))
         out[key]["evicting"] = _evicting(call(False))
+    for name, window in windows().items():
+        if window.is_scalar:
+            out[f"iterated_aitken/{name}"] = _aitken_levels(window)
     return out
 
 
@@ -139,6 +154,10 @@ def test_golden_inputs_reach_the_breakdown_paths():
     for function in ("e_algorithm", "h_algorithm"):
         assert expected[f"{function}/ties/terms"]["flagged"]
         assert expected[f"{function}/constant/terms"]["flagged"]
+    # a breakdown stops iterated delta-squared short of full depth
+    for name, count in (("geometric_mixture-12", 12), ("constant", 6)):
+        deepest = expected[f"iterated_aitken/{name}"]["levels"][-1][0]
+        assert deepest < (count - 1) // 2
 
 
 if __name__ == "__main__":

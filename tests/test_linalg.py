@@ -332,6 +332,17 @@ def test_svd_graded_matrix():
     np.testing.assert_allclose(f.sigma, sigma, rtol=1e-9)
 
 
+def test_svd_equal_column_norms_rotate_by_a_quarter_turn():
+    # both columns have squared norm 2, so zeta = 0 and the rotation is
+    # the 45-degree one (t = 1)
+    a = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    f = jacobi_svd(a)
+    np.testing.assert_allclose(f.sigma, np.linalg.svd(a, compute_uv=False),
+                               rtol=1e-14)
+    np.testing.assert_allclose(f.u @ np.diag(f.sigma) @ f.v.T, a,
+                               atol=1e-14)
+
+
 def test_svd_shape_guards():
     with pytest.raises(ValueError):
         jacobi_svd(np.ones((2, 3)))

@@ -587,6 +587,16 @@ class TestTea:
         with pytest.raises(ValueError):
             TeaWeight(np.zeros(3))
 
+    @pytest.mark.parametrize("transform", [
+        lambda w, y: tea(w, y, 2), lambda w, y: stea(w, y, 2, 1),
+        lambda w, y: stea(w, y, 2, 2)])
+    def test_tea_weight_equals_its_array(self, transform):
+        rng = np.random.default_rng(78)
+        w = random_window(rng, 4, 5)
+        y = rng.standard_normal(4)
+        weighted = transform(w, TeaWeight(y)).value
+        assert np.array_equal(weighted, transform(w, y).value)
+
 
 class TestStea:
     @pytest.mark.parametrize("variant", [1, 2])
