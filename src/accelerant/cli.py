@@ -40,6 +40,7 @@ from .core import (
 from .driver import (
     CSV_HEADER,
     DIVERGENCE_FACTOR,
+    _TEST_BASIS_METHODS,
     CycleConfig,
     METHOD_NAMES,
     FixedPointProblem,
@@ -85,7 +86,6 @@ _DEFAULT_N = {"linear": 100, "fredholm": 500, "pagerank": 5000}
 # twenty smoothing steps per cycle: without the steps a cycle on an affine
 # map returns its own start and the run stops ``stalled``, and the stiffest
 # benchmark needs them to converge.
-_TEST_BASIS_METHODS = ("mmpe", "sbeta", "h")
 _TEST_BASIS_WARMUP = 20
 
 # A run that meets its tolerance during the one-time warmup has converged.
@@ -213,16 +213,11 @@ def _build_problem(args, rng_seed: int) -> FixedPointProblem:
     raise ValueError(f"unknown problem {name!r}")
 
 
-def _problem_norm(problem_name: str):
-    if problem_name == "pagerank":
-        return lambda z: float(np.abs(z).sum())
-    return _norm
-
-
 def _cycle_config(args, method: str, dimension: int) -> CycleConfig:
     warmup = args.p
     test_vectors = None
     if method in _TEST_BASIS_METHODS:
+        # names --m before qr_mgs refuses it; run_cycles guards library callers
         if args.m > dimension:
             raise ValueError(f"--m {args.m} exceeds the problem dimension "
                              f"{dimension}: {method} needs --m <= {dimension}")
@@ -289,6 +284,11 @@ class BenchRow:
                 _fmt(self.seconds), self.status]
 
 
+def _norm1(z: np.ndarray) -> float:
+    """The 1-norm, which error-aware (pagerank) runs measure steps in."""
+    return float(np.abs(z).sum())
+
+
 def _error_aware_stop(delta: float, prev_delta: float | None, tol: float,
                       scale: float) -> bool:
     """Estimate the remaining error of a linearly converging sequence.
@@ -304,9 +304,10 @@ def _error_aware_stop(delta: float, prev_delta: float | None, tol: float,
 
 
 def _run_picard(problem: FixedPointProblem, tol: float, max_evals: int,
-                error_aware: bool, norm) -> tuple[int, float, str, np.ndarray]:
+                error_aware: bool) -> tuple[int, float, str, np.ndarray]:
     if max_evals < 1:
         raise ValueError("max_evals must be at least 1")
+    norm = _norm1 if error_aware else _norm
     current = np.array(problem.initial_guess, dtype=float)
     initial = None
     prev_delta = None
@@ -380,10 +381,11 @@ def _deepest_finite(diagonal: list) -> np.ndarray:
 
 
 def _run_componentwise(problem: FixedPointProblem, tol: float, max_evals: int,
-                       kind: str, error_aware: bool,
-                       norm) -> tuple[int, float, str, np.ndarray]:
+                       kind: str,
+                       error_aware: bool) -> tuple[int, float, str, np.ndarray]:
     if max_evals < 1:
         raise ValueError("max_evals must be at least 1")
+    norm = _norm1 if error_aware else _norm
     start = np.array(problem.initial_guess, dtype=float)
     recent = [start]
     diagonal = [start]
@@ -438,14 +440,13 @@ def _run_componentwise(problem: FixedPointProblem, tol: float, max_evals: int,
 
 def _bench_row(method: str, args, problem: FixedPointProblem) -> BenchRow:
     error_aware = args.problem == "pagerank"
-    norm = _problem_norm(args.problem)
     start = time.perf_counter()
     if method == "picard":
         evals, final, status, _ = _run_picard(
-            problem, args.tol, args.max_cycles, error_aware, norm)
+            problem, args.tol, args.max_cycles, error_aware)
     elif method in ("aitken", "epsilon"):
         evals, final, status, _ = _run_componentwise(
-            problem, args.tol, args.max_cycles, method, error_aware, norm)
+            problem, args.tol, args.max_cycles, method, error_aware)
     else:
         try:
             config = _cycle_config(args, method, problem.dimension)

@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 PROJECTION_METHODS = ("rre", "mpe", "mmpe", "sbeta", "h")
+# the projection methods that test against a fixed basis of width_m columns
+_TEST_BASIS_METHODS = ("mmpe", "sbeta", "h")
 LOZENGE_METHODS = ("vea", "tea", "stea2")
 METHOD_NAMES = PROJECTION_METHODS + LOZENGE_METHODS + ("anderson",)
 
@@ -222,7 +224,7 @@ def _cycle_transform(config: CycleConfig, dimension: int):
     """
     m = config.width_m
     method = config.method
-    if method in ("mmpe", "sbeta", "h"):
+    if method in _TEST_BASIS_METHODS:
         cols = _mmpe_basis(config.test_vectors, dimension, m)
     if method in ("rre", "mpe", "mmpe"):
         # mmpe keeps the config's array, whose layout its products round in

@@ -96,16 +96,14 @@ class SvdModel:
         return int(self.sigma.size)
 
     @classmethod
-    def from_matrix(cls, a, b, clean_rhs=None,
-                    noise_level: float | None = None) -> "SvdModel":
+    def from_matrix(cls, a, b) -> "SvdModel":
         """Build a model from a dense matrix via the one-sided Jacobi SVD.
 
         Intended for desk-scale matrices; the underlying factorization
         accepts up to 1200 columns.
         """
         factors = jacobi_svd(a)
-        return cls(u=factors.u, sigma=factors.sigma, v=factors.v, rhs=b,
-                   clean_rhs=clean_rhs, noise_level=noise_level)
+        return cls(u=factors.u, sigma=factors.sigma, v=factors.v, rhs=b)
 
 
 def _expansion_coefficients(model: SvdModel) -> np.ndarray:

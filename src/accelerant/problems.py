@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -71,12 +71,11 @@ class LinearIteration:
         """One application of the iteration map."""
         return self.matrix @ np.asarray(state, dtype=float) + self.offset
 
-    def as_fixed_point(self, initial_guess=None) -> FixedPointProblem:
-        """Package the iteration for the cycle driver (default start: 0)."""
-        start = (np.zeros(self.dimension) if initial_guess is None
-                 else initial_guess)
+    def as_fixed_point(self) -> FixedPointProblem:
+        """Package the iteration for the cycle driver, started at 0."""
         return FixedPointProblem(dimension=self.dimension, mapping=self.step,
-                                 initial_guess=start, solution=self.solution)
+                                 initial_guess=np.zeros(self.dimension),
+                                 solution=self.solution)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,12 +254,11 @@ def series_generator(name: str, count: int, limit: float = 0.0,
 # linear iterations
 
 
-def _power_iteration_estimate(matrix: np.ndarray, start: np.ndarray,
-                              steps: int = 100) -> float:
-    """Dominant-eigenvalue magnitude estimate after a fixed step count."""
+def _power_iteration_estimate(matrix: np.ndarray, start: np.ndarray) -> float:
+    """Dominant-eigenvalue magnitude estimate after 100 steps."""
     vec = start / np.linalg.norm(start)
     growth = 0.0
-    for _ in range(steps):
+    for _ in range(100):
         nxt = matrix @ vec
         growth = float(np.linalg.norm(nxt))
         if growth == 0.0:
@@ -372,23 +370,19 @@ def reaction_diffusion(p_grid: int) -> FixedPointProblem:
 # Fredholm integral equation
 
 
-def _default_kernel(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """exp(-|x - t|), evaluated in the one array the difference makes."""
+def _kernel(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(-|x - t|), evaluated in the one array the difference makes (a
+    temporary of the caller's expression, freed once the discretization
+    holds its copy)."""
     kernel = np.subtract(x, t)
     np.abs(kernel, out=kernel)
     np.negative(kernel, out=kernel)
     return np.exp(kernel, out=kernel)
 
 
-def _default_source(x: np.ndarray) -> np.ndarray:
-    return np.sin(np.pi * x)
-
-
-def fredholm_discretization(n: int, coupling: float,
-                            kernel: Callable = _default_kernel,
-                            source: Callable = _default_source
-                            ) -> FredholmDiscretization:
-    """Trapezoid collocation of u = source + coupling * integral(kernel u).
+def fredholm_discretization(n: int, coupling: float) -> FredholmDiscretization:
+    """Trapezoid collocation of u = sin(pi x) + coupling * integral(K u)
+    with the kernel K(x, t) = exp(-|x - t|).
 
     Building holds at most two N x N matrices: the kernel samples go
     straight into the discretization, and the coupling check takes the
@@ -399,8 +393,8 @@ def fredholm_discretization(n: int, coupling: float,
         raise ValueError("n must be at least 2")
     nodes, _ = _trapezoid(n)
     disc = FredholmDiscretization(
-        kernel_matrix=kernel(nodes[:, None], nodes[None, :]),
-        coupling=coupling, source=source(nodes))
+        kernel_matrix=_kernel(nodes[:, None], nodes[None, :]),
+        coupling=coupling, source=np.sin(np.pi * nodes))
     magnitudes = disc.operator_matrix()
     np.abs(magnitudes, out=magnitudes)
     operator_norm = float(np.add.reduce(magnitudes, axis=1).max(initial=0))
@@ -412,17 +406,14 @@ def fredholm_discretization(n: int, coupling: float,
     return disc
 
 
-def fredholm(n: int, coupling: float,
-             kernel: Callable = _default_kernel,
-             source: Callable = _default_source) -> FixedPointProblem:
+def fredholm(n: int, coupling: float) -> FixedPointProblem:
     """Picard iteration for a second-kind integral equation on [0, 1].
 
-    Defaults reproduce the exponential-kernel benchmark: kernel
-    exp(-|x - t|), source sin(pi x), started at the source samples (so
-    plain iteration generates the partial sums of the series expansion
-    in powers of the coupling).
+    The exponential-kernel benchmark: kernel exp(-|x - t|), source
+    sin(pi x), started at the source samples (so plain iteration generates
+    the partial sums of the series expansion in powers of the coupling).
     """
-    return fredholm_discretization(n, coupling, kernel, source).as_fixed_point()
+    return fredholm_discretization(n, coupling).as_fixed_point()
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .scalar import NonexistenceError, _e_recursion, epsilon_scalar
 
 __all__ = [
     "AndersonState",
-    "TeaWeight",
     "VpeMethod",
     "VpeResult",
     "anderson_step",
@@ -133,30 +132,18 @@ class VpeResult:
         object.__setattr__(self, "order_k", len(self.gamma) - 1)
 
 
-@dataclass(frozen=True)
-class TeaWeight:
-    """The fixed dual vector the topological transforms test residuals against."""
-
-    y: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", _frozen_array(self.y, "y", 1))
-        if not self.y.any():
-            raise ValueError("the dual vector must be nonzero")
-
-
-def generalized_residual(window: SequenceWindow, coefficients: Sequence[float],
-                         index: int | None = None):
+def generalized_residual(window: SequenceWindow, coefficients: Sequence[float]):
     """First difference corrected by weighted second differences.
 
     Returns ``ds_n + sum_i a_i d2s_{n+i-1}`` for ``a_1..a_k`` taken from
-    ``coefficients``.  On windows produced by an affine iteration this equals
-    the true residual of the extrapolated point; in general it is the
-    quantity the polynomial methods drive to (projected) zero.
+    ``coefficients``, n the window's base index.  On windows produced by an
+    affine iteration this equals the true residual of the extrapolated
+    point; in general it is the quantity the polynomial methods drive to
+    (projected) zero.
     """
-    n = window.base_index if index is None else index
+    n = window.base_index
     k = len(coefficients)
-    if n < window.base_index or n + k + 1 > window.last_index + 1:
+    if len(window) < k + 2:
         raise ValueError(
             f"need terms {n}..{n + k + 1} inside "
             f"{window.base_index}..{window.last_index}")
@@ -220,8 +207,8 @@ def _angle_diagnostics(ds0: np.ndarray, residual: np.ndarray, key: str) -> dict:
     return diag
 
 
-def vpe_extrapolate(window: SequenceWindow, method: VpeMethod, k: int,
-                    index: int | None = None) -> VpeResult:
+def vpe_extrapolate(window: SequenceWindow, method: VpeMethod,
+                    k: int) -> VpeResult:
     """Polynomial extrapolation through a projected difference system.
 
     Computes ``t_k = s_n + dS a`` where the coefficients make the
@@ -229,9 +216,10 @@ def vpe_extrapolate(window: SequenceWindow, method: VpeMethod, k: int,
     space: the second-difference span itself (RRE, solved in the
     least-squares sense), the first-difference span (MPE, through the
     normalized annihilation form), or fixed test vectors (MMPE, solved by
-    elimination).  ``k = 0`` returns the pilot term unchanged.
+    elimination).  The pilot n is the window's base index; ``k = 0``
+    returns the pilot term unchanged.
     """
-    n = window.base_index if index is None else index
+    n = window.base_index
     if k < 0:
         raise ValueError("order k must be nonnegative")
     s_rows = window.rows(n, k + 2)
@@ -284,8 +272,7 @@ def vpe_extrapolate(window: SequenceWindow, method: VpeMethod, k: int,
                      pilot_index_n=n, diagnostics=diag)
 
 
-def vpe_oracle(window: SequenceWindow, method: VpeMethod, k: int,
-               index: int | None = None) -> np.ndarray:
+def vpe_oracle(window: SequenceWindow, method: VpeMethod, k: int) -> np.ndarray:
     """Slow determinant-ratio route to the same extrapolated vector.
 
     Builds the (k+1) x (k+1) ratio whose first row holds the sequence terms
@@ -294,7 +281,7 @@ def vpe_oracle(window: SequenceWindow, method: VpeMethod, k: int,
     :func:`vpe_extrapolate`; capped at small orders because the cost grows
     factorially.
     """
-    n = window.base_index if index is None else index
+    n = window.base_index
     if k < 0 or k > 6:
         raise ValueError("oracle orders are limited to 0 <= k <= 6")
     pilot = window.rows(n, 1)[0]
@@ -329,8 +316,7 @@ def vpe_oracle(window: SequenceWindow, method: VpeMethod, k: int,
     return value
 
 
-def sbeta(window: SequenceWindow, test_vectors: Sequence,
-          index: int | None = None) -> Estimate:
+def sbeta(window: SequenceWindow, test_vectors: Sequence) -> Estimate:
     """Coupled two-sequence recursion for the projected transform.
 
     Runs the paired update
@@ -338,16 +324,16 @@ def sbeta(window: SequenceWindow, test_vectors: Sequence,
         a = (y_k, b[n]) / (y_k, b[n+1])
         s[n] <- (s[n] - a s[n+1]) / (1 - a)     (b alike)
 
-    level by level from ``s[n] = s_n`` and ``b[n] = ds_n``, consuming one
-    test vector per level.  The depth-k value at the pilot index equals the
-    MMPE transform with the same test vectors.
+    level by level from ``s[n] = s_n`` and ``b[n] = ds_n`` over the whole
+    window, consuming one test vector per level.  The depth-k value at the
+    pilot index, the window's base index, equals the MMPE transform with
+    the same test vectors.
     """
     ys = [np.atleast_1d(np.asarray(y, dtype=np.float64)) for y in test_vectors]
     k = len(ys)
     if k < 1:
         raise ValueError("need at least one test vector")
-    n0 = window.base_index if index is None else index
-    count = window.last_index - n0 + 1
+    n0, count = window.base_index, len(window)
     if count < k + 2:
         raise ValueError(f"need at least {k + 2} terms from index {n0} for depth {k}")
     s_rows = window.rows(n0, count)
@@ -433,13 +419,14 @@ def _vector_step(k, d, size, a, b, back):
     return d
 
 
-def _topological_rows(window: SequenceWindow, weight, k: int,
-                      index: int | None):
-    """The dual vector, the pilot index n and the rows ``s_n .. s_{n+2k}``
-    an order-k topological transform reads; ``weight`` is a
-    :class:`TeaWeight` or an array that makes one."""
-    y = weight.y if isinstance(weight, TeaWeight) else TeaWeight(weight).y
-    n = window.base_index if index is None else index
+def _topological_rows(window: SequenceWindow, weight, k: int):
+    """The dual vector, a finite nonzero 1-D array made from ``weight``,
+    the pilot index n (the window's base index) and the rows
+    ``s_n .. s_{n+2k}`` an order-k topological transform reads."""
+    y = _frozen_array(weight, "y", 1)
+    if not y.any():
+        raise ValueError("the dual vector must be nonzero")
+    n = window.base_index
     if k < 0:
         raise ValueError("order k must be nonnegative")
     s_rows = window.rows(n, 2 * k + 1)
@@ -448,8 +435,7 @@ def _topological_rows(window: SequenceWindow, weight, k: int,
     return y, n, s_rows
 
 
-def tea(window: SequenceWindow, weight, k: int,
-        index: int | None = None) -> Estimate:
+def tea(window: SequenceWindow, weight, k: int) -> Estimate:
     """Topological transform through its k x k pairing system.
 
     Solves ``T c = dS^T y`` where ``T[j, i] = (y, d2s_{n+i+j})`` (zero-based
@@ -457,7 +443,7 @@ def tea(window: SequenceWindow, weight, k: int,
     shifted generalized residual orthogonal to the dual vector ``y``.  An
     order-k value consumes the 2k+1 terms ``s_n .. s_{n+2k}``.
     """
-    y, n, s_rows = _topological_rows(window, weight, k, index)
+    y, n, s_rows = _topological_rows(window, weight, k)
     if k == 0:
         return Estimate(value=_frozen_array(s_rows[0], "value", 1), order_k=0,
                         pilot_index_n=n)
@@ -485,8 +471,7 @@ def tea(window: SequenceWindow, weight, k: int,
                     pilot_index_n=n, diagnostics=diag)
 
 
-def stea(window: SequenceWindow, weight, k: int, variant: int,
-         index: int | None = None) -> Estimate:
+def stea(window: SequenceWindow, weight, k: int, variant: int) -> Estimate:
     """Topological transform driven by a scalar companion table.
 
     Runs the inverse-difference recursion on the pairings ``z_n = (y, s_n)``
@@ -506,7 +491,7 @@ def stea(window: SequenceWindow, weight, k: int, variant: int,
     """
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
-    y, n0, s_rows = _topological_rows(window, weight, k, index)
+    y, n0, s_rows = _topological_rows(window, weight, k)
     if k == 0:
         return Estimate(value=_frozen_array(s_rows[0], "value", 1), order_k=0,
                         pilot_index_n=n0, diagnostics={"variant": float(variant)})

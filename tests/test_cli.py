@@ -636,8 +636,7 @@ class TestComponentwiseEpsilon:
         fallbacks = 0
         for steps in range(2, 16):
             evals, _, status, accelerated = cli._run_componentwise(
-                problem, 0.0, steps, "epsilon", False,
-                cli._problem_norm("linear"))
+                problem, 0.0, steps, "epsilon", False)
             # the steps, and one evaluation for the final residual
             assert (evals, status) == (steps + 1, "max_cycles")
             for c in range(4):
@@ -661,8 +660,7 @@ class TestComponentwiseEpsilon:
         tracemalloc.start()
         try:
             evals, _, status, _ = cli._run_componentwise(
-                problem, 1e-300, 60, "epsilon", False,
-                cli._problem_norm("pde"))
+                problem, 1e-300, 60, "epsilon", False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -705,7 +703,7 @@ def test_componentwise_reports_every_map_call(kind):
     counted = FixedPointProblem(problem.dimension, mapping,
                                 problem.initial_guess)
     evals, _, status, _ = cli._run_componentwise(
-        counted, 1e-6, 1000, kind, False, cli._problem_norm("linear"))
+        counted, 1e-6, 1000, kind, False)
     assert status == "converged"
     assert evals == calls["n"]
 
@@ -740,7 +738,7 @@ def test_componentwise_stops_a_diverging_run(kind, mapping, start, evals):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got, final, status, _ = cli._run_componentwise(
-            problem, 1e-6, 1000, kind, False, cli._problem_norm("linear"))
+            problem, 1e-6, 1000, kind, False)
     # neither an inf step nor a point that sits still may pass the stop
     # test and read as converged
     assert status == "diverged"
@@ -749,9 +747,8 @@ def test_componentwise_stops_a_diverging_run(kind, mapping, start, evals):
 
 
 @pytest.mark.parametrize("run", [
-    lambda problem: cli._run_picard(problem, 1e-6, 0, False, np.linalg.norm),
-    lambda problem: cli._run_componentwise(problem, 1e-6, 0, "epsilon", False,
-                                           np.linalg.norm),
+    lambda problem: cli._run_picard(problem, 1e-6, 0, False),
+    lambda problem: cli._run_componentwise(problem, 1e-6, 0, "epsilon", False),
 ], ids=["picard", "componentwise"])
 def test_zero_evaluation_budget_is_rejected(run):
     problem = linear_iteration_generator(10, 0.9, 42).as_fixed_point()

@@ -652,3 +652,21 @@ def test_read_rejects_ragged_vectors(tmp_path):
     p.write_text("1.0,2.0\n3.0\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_sequence_file(p)
+
+
+INPUT_CHECKS = {
+    "window-of-width-0": (lambda: SequenceWindow(np.zeros((2, 0))),
+                          "one-dimensional with N >= 1"),
+    "negative-difference-order": (
+        lambda: forward_difference(SequenceWindow([1.0, 2.0]), -1, 0),
+        "difference order must be nonnegative"),
+    "odd-parity": (lambda: Tableau(estimate_parity="odd"),
+                   "estimate_parity must be 'all' or 'even'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_check_raises(case):
+    call, match = INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -667,3 +667,8 @@ class TestRunContract:
             # the first poisoned value ends the run
             assert report.reason == "nonfinite"
             assert calls["n"] == poison_after + 1
+
+
+def test_empty_test_vectors_are_rejected():
+    with pytest.raises(ValueError, match="test_vectors must be nonempty"):
+        CycleConfig("mmpe", test_vectors=np.zeros((3, 0)))

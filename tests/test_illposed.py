@@ -344,3 +344,59 @@ class TestCsvReport:
             [format(error / exact_norm, ".17g") for error in want]
         assert error_optimal_index(model, exact, k_max) == \
             int(np.argmin(want)) + 1
+
+
+def _sequence(coefficients=(1.0, 2.0), vectors=np.eye(3)[:, :2],
+              source_indices=(1, 2)):
+    return TsvdSequence(coefficients=np.asarray(coefficients),
+                        vectors=vectors, source_indices=source_indices)
+
+
+_MODEL = illposed_synthetic(12, 0.5, 1e-2, 3)
+
+INPUT_CHECKS = {
+    "model-rank-0": (
+        lambda: SvdModel(u=np.zeros((3, 0)), sigma=np.zeros(0),
+                         v=np.zeros((3, 0)), rhs=np.ones(3)),
+        "at least one singular triplet"),
+    "model-column-count": (
+        lambda: SvdModel(u=np.eye(3)[:, :2], sigma=np.ones(1),
+                         v=np.eye(3)[:, :1], rhs=np.ones(3)),
+        "one column per singular value"),
+    "model-rhs-length": (
+        lambda: SvdModel(u=np.eye(3)[:, :1], sigma=np.ones(1),
+                         v=np.eye(3)[:, :1], rhs=np.ones(2)),
+        "rhs length must match the rows of u"),
+    "sequence-coefficients-not-1d": (
+        lambda: _sequence(coefficients=[[1.0, 2.0]]),
+        "coefficients must be a 1-D array"),
+    "sequence-vector-columns": (
+        lambda: _sequence(vectors=np.eye(3)),
+        "one vector column per coefficient"),
+    "sequence-source-indices": (
+        lambda: _sequence(source_indices=(1,)),
+        "one source index per coefficient"),
+    "sequence-zero-coefficient": (
+        lambda: _sequence(coefficients=(1.0, 0.0)),
+        "retained coefficients must be nonzero"),
+    "iterate-out-of-range": (lambda: _sequence().iterate(3),
+                             r"k must lie in \[0, 2\], got 3"),
+    "filter-weights-sum": (lambda: FilterFactors(gamma=np.array([0.5, 0.6])),
+                           "gamma entries must sum to one"),
+    "filter-weight-negative": (
+        lambda: FilterFactors(gamma=np.array([1.5, -0.5])),
+        "gamma entries must be positive"),
+    "rre-tsvd-k-max": (lambda: rre_tsvd(_MODEL, 0), "k_max must be at least 1"),
+    "error-optimal-k-max": (
+        lambda: error_optimal_index(_MODEL, np.ones(12), 13),
+        r"k_max must lie in \[1, 12\], got 13"),
+    "csv-report-zero-exact": (lambda: csv_report(_MODEL, 3, np.zeros(12)),
+                              "exact solution must be nonzero"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_check_raises(case):
+    call, match = INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -382,3 +382,26 @@ def test_gmres_accepts_callable_operator():
 def test_gmres_zero_rhs():
     trace = gmres_oracle(np.eye(2), np.zeros(2), 2)
     assert trace.exact and trace.residual_norms[0] == 0.0
+
+
+INPUT_CHECKS = {
+    "matrix-not-2d": (lambda: lu_solve(np.ones(3), np.ones(3)),
+                      "expected a 2-D matrix"),
+    "lu-not-square": (lambda: lu_solve(np.ones((2, 3)), np.ones(2)),
+                      "lu_solve requires a square matrix"),
+    "determinant-not-square": (lambda: _determinant(np.ones((2, 3))),
+                               "determinant requires a square matrix"),
+    "svd-too-wide": (lambda: jacobi_svd(np.zeros((1201, 1201))),
+                     r"desk-scale only \(cols <= 1200\)"),
+    "gmres-k-above-dimension": (lambda: gmres_oracle(np.eye(2), np.ones(2), 3),
+                                "gmres_oracle requires 0 <= k <= dimension"),
+    "gmres-negative-k": (lambda: gmres_oracle(np.eye(2), np.ones(2), -1),
+                         "gmres_oracle requires 0 <= k <= dimension"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_check_raises(case):
+    call, match = INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=match):
+        call()

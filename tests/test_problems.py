@@ -763,3 +763,45 @@ class TestIllposedSynthetic:
             illposed_synthetic(10, -1.0, 1e-2, seed=0)
         with pytest.raises(ValueError):
             illposed_synthetic(10, 1.0, -1e-2, seed=0)
+
+
+INPUT_CHECKS = {
+    "linear-iteration-not-square": (
+        lambda: LinearIteration(matrix=np.ones((2, 3)), offset=np.ones(2),
+                                solution=None, spectral_radius_estimate=0.5),
+        "matrix must be square"),
+    "graph-without-nodes": (
+        lambda: SparseGraph(edge_targets=np.zeros(0, dtype=np.int64),
+                            out_degrees=np.zeros(0, dtype=np.int64),
+                            original_ids=()),
+        "graph needs at least one node"),
+    "fredholm-one-node": (
+        lambda: FredholmDiscretization(kernel_matrix=np.ones((1, 1)),
+                                       coupling=0.5, source=np.ones(1)),
+        "at least two nodes are required"),
+    "fredholm-kernel-not-square": (
+        lambda: FredholmDiscretization(kernel_matrix=np.ones((2, 3)),
+                                       coupling=0.5, source=np.ones(2)),
+        "kernel matrix must be square over the nodes"),
+    "mixture-without-modes": (
+        lambda: series_generator("geometric_mixture", 5, modes=()),
+        "geometric_mixture needs at least one mode"),
+    "linear-generator-n-0": (lambda: linear_iteration_generator(0, 0.5, 1),
+                             "n must be positive"),
+    "illposed-n-0": (lambda: illposed_synthetic(0, 1.0, 1e-2, 1),
+                     "n must be positive"),
+    "pagerank-nonfinite-personalization": (
+        lambda: pagerank(clustered_graph(4, 2, 0),
+                         personalization=[1.0, math.nan, 1.0, 1.0]),
+        "personalization must be finite"),
+    "pagerank-personalization-length": (
+        lambda: pagerank(clustered_graph(4, 2, 0), personalization=[1.0] * 3),
+        "personalization must be a nonnegative N-vector"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_check_raises(case):
+    call, match = INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -585,3 +585,59 @@ def test_basis_family_rejects_nonfinite():
     basis = BasisFamily(lambda i, n: float("inf"))
     with pytest.raises(ValueError):
         basis.value(1, 0)
+
+
+_VECTOR_WINDOW = SequenceWindow([np.ones(2)] * 5)
+_GEOMETRIC = BasisFamily.geometric([0.5, 0.25])
+
+INPUT_CHECKS = {
+    "node-out-of-range": (lambda: NodeSequence.standard(3).value(3),
+                          IndexError, "no node stored for index 3"),
+    "shanks-vector-window": (lambda: shanks_oracle(_VECTOR_WINDOW, 1),
+                             ValueError, "applies to scalar windows"),
+    "shanks-window-too-short": (
+        lambda: shanks_oracle(SequenceWindow([1.0, 0.5, 0.25]), 2),
+        ValueError, "order 2 at index 0 needs terms up to 4"),
+    "pade-negative-order": (lambda: pade_approximant([1.0, 1.0], -1, 1),
+                            ValueError, "orders must be nonnegative"),
+    "pade-too-few-coefficients": (
+        lambda: pade_approximant([1.0, 1.0], 2, 1),
+        ValueError, "need 4 series coefficients, got 2"),
+    "builder-vector-window": (lambda: epsilon_scalar(_VECTOR_WINDOW),
+                              ValueError, "applies to scalar windows"),
+    "epsilon-two-terms": (lambda: epsilon_scalar(SequenceWindow([1.0, 0.5])),
+                          ValueError, "need at least three terms"),
+    "rho-two-terms": (lambda: rho(SequenceWindow([1.0, 0.5])),
+                      ValueError, "need at least three terms"),
+    "theta-three-terms": (lambda: theta(SequenceWindow([1.0, 0.5, 0.25])),
+                          ValueError, "need at least four terms"),
+    "e-negative-k-max": (
+        lambda: e_algorithm(SequenceWindow([1.0, 0.5, 0.25]), _GEOMETRIC, -1),
+        ValueError, "k_max must be nonnegative"),
+    "e-too-few-terms": (
+        lambda: e_algorithm(SequenceWindow([1.0, 0.5]), _GEOMETRIC, 2),
+        ValueError, "need at least 3 terms for order 2"),
+    "e-determinant-above-8": (
+        lambda: e_algorithm_determinant(SequenceWindow([1.0] * 12),
+                                        _GEOMETRIC, 9),
+        ValueError, "capped at order 8"),
+    "e-determinant-window-too-short": (
+        lambda: e_algorithm_determinant(SequenceWindow([1.0, 0.5]),
+                                        _GEOMETRIC, 2),
+        ValueError, "order 2 at index 0 needs terms up to 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_check_raises(case):
+    call, error, match = INPUT_CHECKS[case]
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_determinant_oracles_at_order_zero_return_the_pilot_term():
+    window = SequenceWindow([1.0, 0.5, 0.25], base_index=4)
+    estimate = shanks_oracle(window, 0, 5)
+    assert (estimate.value, estimate.order_k, estimate.pilot_index_n) == \
+        (0.5, 0, 5)
+    assert e_algorithm_determinant(window, _GEOMETRIC, 0, 6) == 0.25

@@ -21,7 +21,6 @@ from accelerant.scalar import (
 )
 from accelerant.vector import (
     AndersonState,
-    TeaWeight,
     VpeMethod,
     anderson_step,
     generalized_residual,
@@ -221,6 +220,12 @@ class TestGeneralizedResidual:
         with pytest.raises(ValueError):
             generalized_residual(w, [0.5])
 
+    def test_window_one_term_short_names_the_terms_it_needs(self):
+        # two coefficients read s_0 .. s_3: three terms are one short
+        w = SequenceWindow([np.zeros(2), np.ones(2), np.full(2, 1.5)])
+        with pytest.raises(ValueError, match="need terms 0..3 inside 0..2"):
+            generalized_residual(w, [0.5, 0.25])
+
 
 # ---------------------------------------------------------------------------
 # polynomial extrapolation
@@ -301,7 +306,8 @@ class TestVpeExtrapolate:
         b_matrix, offset, solution = diag_example()
         terms = linear_iteration(b_matrix, offset, np.zeros(2), 7)
         w = SequenceWindow(terms, base_index=3)
-        result = vpe_extrapolate(w, VpeMethod.rre(), 2, index=5)
+        result = vpe_extrapolate(SequenceWindow(w.rows(5, 4), base_index=5),
+                                 VpeMethod.rre(), 2)
         assert result.pilot_index_n == 5
         assert np.linalg.norm(result.value - solution) < 1e-10
 
@@ -557,7 +563,7 @@ class TestTea:
         w = SequenceWindow(kernel_sequence(limit, modes, 7))
         y = np.array([0.3, -1.2, 0.8])
         for n in (0, 1, 2):
-            result = tea(w, y, 2, index=n)
+            result = tea(SequenceWindow(w.rows(n, 5), base_index=n), y, 2)
             assert np.linalg.norm(result.value - limit) < 1e-9
 
     def test_linear_iteration_with_residual_weight(self):
@@ -584,18 +590,9 @@ class TestTea:
         assert np.linalg.norm(stacked @ gamma - result.value) <= 1e-10 * scale
 
     def test_zero_weight_rejected(self):
-        with pytest.raises(ValueError):
-            TeaWeight(np.zeros(3))
-
-    @pytest.mark.parametrize("transform", [
-        lambda w, y: tea(w, y, 2), lambda w, y: stea(w, y, 2, 1),
-        lambda w, y: stea(w, y, 2, 2)])
-    def test_tea_weight_equals_its_array(self, transform):
-        rng = np.random.default_rng(78)
-        w = random_window(rng, 4, 5)
-        y = rng.standard_normal(4)
-        weighted = transform(w, TeaWeight(y)).value
-        assert np.array_equal(weighted, transform(w, y).value)
+        w = SequenceWindow([np.zeros(3), np.ones(3), np.full(3, 1.5)])
+        with pytest.raises(ValueError, match="dual vector must be nonzero"):
+            tea(w, np.zeros(3), 1)
 
 
 class TestStea:
@@ -1050,3 +1047,31 @@ def test_one_shot_breakdown_error_fields(case):
     assert (exc.order_k, exc.index_n) == (order_k, index_n)
     assert exc.denominator == denominator
     assert exc.scale == scale
+
+
+_WINDOW = SequenceWindow([np.zeros(2), np.ones(2), np.full(2, 1.5),
+                          np.full(2, 1.75), np.full(2, 1.875)])
+
+INPUT_CHECKS = {
+    "vpe-empty-test-vectors": (
+        lambda: VpeMethod("mmpe", np.zeros((2, 0))),
+        "test_vectors must be nonempty"),
+    "sbeta-without-test-vectors": (lambda: sbeta(_WINDOW, []),
+                                   "need at least one test vector"),
+    "vea-two-terms": (lambda: vea(SequenceWindow([np.zeros(2), np.ones(2)])),
+                      "need at least three terms"),
+    "tea-negative-order": (lambda: tea(_WINDOW, np.ones(2), -1),
+                           "order k must be nonnegative"),
+    "stea-negative-order": (lambda: stea(_WINDOW, np.ones(2), -1, 2),
+                            "order k must be nonnegative"),
+    "anderson-empty-iterate": (
+        lambda: AndersonState(depth=1, damping=1.0, iterates=(np.zeros(0),)),
+        "at least one nonempty iterate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_check_raises(case):
+    call, match = INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=match):
+        call()
