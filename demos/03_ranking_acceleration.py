@@ -21,8 +21,8 @@ problem = pagerank(graph, alpha=0.85)
 # both runs stop on an error estimate rather than the raw update size,
 # so their answers land within tol of each other, not just of themselves
 tol = 1e-6
-power = _run_picard(pagerank(graph, 0.85), tol, 2000, True)
-accel = _run_componentwise(pagerank(graph, 0.85), tol, 2000, "aitken", True)
+power = _run_picard(problem, tol, 2000, True)
+accel = _run_componentwise(problem, tol, 2000, "aitken", True)
 
 power_evals, _, power_status, power_vec = power
 accel_evals, _, accel_status, accel_vec = accel

@@ -39,8 +39,8 @@ from .core import (
 )
 from .driver import (
     CSV_HEADER,
-    DIVERGENCE_FACTOR,
     _TEST_BASIS_METHODS,
+    _outgrew,
     CycleConfig,
     METHOD_NAMES,
     FixedPointProblem,
@@ -315,15 +315,16 @@ def _run_picard(problem: FixedPointProblem, tol: float, max_evals: int,
         nxt = problem.mapping(current)
         delta = norm(nxt - current)
         if initial is None:
-            initial = max(delta, _TINY)
+            initial = best = max(delta, _TINY)
         if error_aware:
             if _error_aware_stop(delta, prev_delta, tol, norm(nxt)):
                 return evals, delta / initial, "converged", nxt
             prev_delta = delta
         elif delta <= tol * initial:
             return evals, delta / initial, "converged", nxt
-        if not math.isfinite(delta) or delta > DIVERGENCE_FACTOR * initial:
+        if not math.isfinite(delta) or _outgrew(delta, initial, best):
             return evals, delta / initial, "diverged", nxt
+        best = min(best, delta)
         current = nxt
     return max_evals, delta / initial, "max_cycles", current
 
@@ -396,7 +397,8 @@ def _run_componentwise(problem: FixedPointProblem, tol: float, max_evals: int,
     for evals in range(1, max_evals + 1):
         recent = recent[-2:] + [problem.mapping(recent[-1])]
         if evals == 1:
-            initial = max(norm(recent[-1] - start), _TINY)
+            initial = best_step = best_delta = max(norm(recent[-1] - start),
+                                                   _TINY)
         if kind == "epsilon":
             with np.errstate(all="ignore"):
                 diagonal = _lozenge_update(diagonal, recent[-1])
@@ -405,10 +407,11 @@ def _run_componentwise(problem: FixedPointProblem, tol: float, max_evals: int,
         # picard's test on the plain iterates, which can run away while the
         # accelerated point sits still: the run then reports the last one
         step = norm(recent[-1] - recent[-2])
-        if not math.isfinite(step) or step > DIVERGENCE_FACTOR * initial:
+        if not math.isfinite(step) or _outgrew(step, initial, best_step):
             accelerated = recent[-1]
             status = "diverged"
             break
+        best_step = min(best_step, step)
         if kind == "aitken":
             accelerated = _componentwise_aitken(*recent)
         else:
@@ -419,9 +422,10 @@ def _run_componentwise(problem: FixedPointProblem, tol: float, max_evals: int,
         if prev_accelerated is not None:
             delta = norm(accelerated - prev_accelerated)
             # before the stop test, which an inf step would pass
-            if not math.isfinite(delta) or delta > DIVERGENCE_FACTOR * initial:
+            if not math.isfinite(delta) or _outgrew(delta, initial, best_delta):
                 status = "diverged"
                 break
+            best_delta = min(best_delta, delta)
             if error_aware:
                 if _error_aware_stop(delta, prev_delta, tol, norm(accelerated)):
                     status = "converged"
@@ -495,6 +499,14 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _model_dimension(text: str) -> int:
+    # the illposed study tabulates truncation orders 1 to rank - 1
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
     return value
 
 
@@ -574,7 +586,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ill_p = sub.add_parser(
         "illposed", help="regularized extrapolation on a synthetic model")
-    ill_p.add_argument("--n", type=int, default=200, help="model dimension")
+    ill_p.add_argument("--n", type=_model_dimension, default=200,
+                       help="model dimension, at least 2 (default 200)")
     ill_p.add_argument("--decay", type=float, default=1.0,
                        help="log-slope of the singular values (default 1.0)")
     ill_p.add_argument("--noise", type=float, default=1e-2,

@@ -13,6 +13,7 @@ from accelerant import cli, illposed
 from accelerant.core import SequenceWindow
 from accelerant.driver import (
     CSV_HEADER,
+    DIVERGENCE_FACTOR,
     METHOD_NAMES,
     CycleConfig,
     FixedPointProblem,
@@ -386,6 +387,18 @@ class TestIllposedCommand:
         assert first.endswith(",,")
         assert "# error-optimal" not in out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "0"], "--n: must be at least 2, got 0"),
+        # a one-dimensional model has no truncation order to tabulate
+        (["--n", "1"], "--n: must be at least 2, got 1"),
+    ])
+    def test_bad_input_exits_one_naming_its_flag(self, capsys, argv,
+                                                 message):
+        code, out, err = run_cli(capsys, ["illposed"] + argv)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
     def test_small_model_tabulates_rank_minus_one_rows(self, capsys):
         # the default --k-max 40 exceeds the rank; rre_tsvd needs k + 1 terms
         code, out, _ = run_cli(capsys, ["illposed", "--n", "10"])
@@ -606,7 +619,16 @@ class TestBenchCommand:
         tea, rre = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert (tea[0], tea[4]) == ("tea", "diverged")
         assert int(tea[1]) > 0
-        assert math.isfinite(float(tea[2])) and float(tea[2]) > 1e12
+        # the row is the driver's report, which stopped by the divergence
+        # rule: above the start and DIVERGENCE_FACTOR times its best
+        problem = linear_iteration_generator(100, 0.9, 42).as_fixed_point()
+        report = run_cycles(problem, CycleConfig(method="tea", tol=1e-6,
+                                                 max_cycles=1000))
+        assert int(tea[1]) == report.iterations
+        assert tea[2] == cli._fmt(report.final_residual)
+        best = min((1.0,) + report.residual_history)
+        assert math.isfinite(report.final_residual)
+        assert report.final_residual > max(1.0, DIVERGENCE_FACTOR * best)
         assert (rre[0], rre[4]) == ("rre", "converged")
 
     def test_stalled_rows_exit_three(self, capsys):
@@ -723,9 +745,9 @@ def _squaring(u):
 
 
 @pytest.mark.parametrize("kind, mapping, start, evals", [
-    ("aitken", _growing, [0.3, 1.0], 33),
-    ("epsilon", _squaring, [1.0, 1.0], 8),
-    ("aitken", _squaring, [1.0, 1.0], 8),
+    ("aitken", _growing, [0.3, 1.0], 18),
+    ("epsilon", _squaring, [1.0, 1.0], 7),
+    ("aitken", _squaring, [1.0, 1.0], 7),
 ], ids=["aitken", "epsilon", "aitken-squaring"])
 def test_componentwise_stops_a_diverging_run(kind, mapping, start, evals):
     calls = {"n": 0}
@@ -743,7 +765,7 @@ def test_componentwise_stops_a_diverging_run(kind, mapping, start, evals):
     # test and read as converged
     assert status == "diverged"
     assert got == calls["n"] == evals
-    assert final > cli.DIVERGENCE_FACTOR
+    assert final > DIVERGENCE_FACTOR
 
 
 @pytest.mark.parametrize("run", [

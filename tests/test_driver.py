@@ -191,7 +191,8 @@ class TestRunCycles:
     def test_divergent_iteration_reports_diverged(self):
         # undamped memory-free mixing is plain iteration, which expands
         # here: from the ones the k-th residual is (3**(k+1), 4**(k+1)),
-        # and the 21st is the first beyond 1e12 times the starting 5
+        # and the 11th is the first beyond 1e6 times the best, the
+        # starting 5
         b_matrix = np.diag([3.0, 4.0])
         problem, counter = counted_problem(FixedPointProblem(
             2, lambda u: b_matrix @ u + 1.0, np.ones(2)))
@@ -199,13 +200,13 @@ class TestRunCycles:
                              tol=1e-14, max_cycles=200)
         report = run_cycles(problem, config)
         assert report.reason == "diverged"
-        assert (report.cycles, report.iterations) == (21, 22)
-        assert counter["evals"] == 22
+        assert (report.cycles, report.iterations) == (11, 12)
+        assert counter["evals"] == 12
         expected = [np.hypot(3.0 ** (k + 1), 4.0 ** (k + 1)) / 5.0
-                    for k in range(22)]
-        np.testing.assert_allclose(report.residual_history, expected[:21],
+                    for k in range(12)]
+        np.testing.assert_allclose(report.residual_history, expected[:11],
                                    rtol=1e-14)
-        assert report.final_residual == pytest.approx(expected[21],
+        assert report.final_residual == pytest.approx(expected[11],
                                                       rel=1e-14)
 
     def test_nonfinite_map_output_reports_nonfinite(self):
@@ -218,9 +219,10 @@ class TestRunCycles:
         assert report.residual_history == ()
 
     def test_overflowing_residual_norm_reports_diverged(self):
-        # past ~1.3e154 the residual's squares overflow, but its norm is
-        # taken scaled there, so the run stops at DIVERGENCE_FACTOR times
-        # its start, not at an early inf, and nothing is warned about
+        # past ~1.3e154 (from the fifth stop check on) the residual's
+        # squares overflow, but its norm is taken scaled there, so the run
+        # stops at DIVERGENCE_FACTOR times its start (here also its best),
+        # not at an early inf, and nothing is warned about
         problem = FixedPointProblem(3, lambda x: 10.0 * x,
                                     np.full(3, 1e149))
         with warnings.catch_warnings():
@@ -228,10 +230,35 @@ class TestRunCycles:
             report = run_cycles(problem, CycleConfig(
                 method="anderson", width_m=2, depth=0, max_cycles=20))
         assert report.reason == "diverged"
-        assert (report.cycles, report.iterations) == (13, 14)
-        assert report.final_residual == pytest.approx(1e13, rel=1e-12)
+        assert (report.cycles, report.iterations) == (7, 8)
+        assert report.final_residual == pytest.approx(1e7, rel=1e-12)
         np.testing.assert_allclose(report.residual_history,
-                                   10.0 ** np.arange(13), rtol=1e-12)
+                                   10.0 ** np.arange(7), rtol=1e-12)
+
+    def test_a_run_that_climbs_from_its_best_stops_diverged(self):
+        # stea2 on this instance climbs to 3e14 times its best residual
+        # and, unstopped, spends all 11001 evaluations of its 1000 cycles;
+        # its count varies with the BLAS kernels, so only a bound is pinned
+        problem = linear_iteration_generator(100, 0.9, 13).as_fixed_point()
+        report = run_cycles(problem, CycleConfig(
+            method="stea2", width_m=5, tol=1e-6, max_cycles=1000))
+        assert report.reason == "diverged"
+        assert report.iterations < 11001 // 2
+        best = min((1.0,) + report.residual_history)
+        assert report.final_residual > max(1.0, DIVERGENCE_FACTOR * best)
+
+    def test_a_diverging_run_stops_before_its_residual_overflows(self):
+        # mmpe with one test vector: the residual dips to 0.05 and then
+        # climbs to 1.5e10 at the ninth stop check, which ends the run;
+        # a run measured from its start alone took one more cycle, 49
+        # evaluations in all, and read 1.25e212
+        report = run_cycles(reaction_diffusion(5), CycleConfig(
+            "mmpe", width_m=1, warmup_p=2, tol=1e-4, max_cycles=9))
+        assert report.reason == "diverged"
+        assert report.iterations < 49
+        assert report.final_residual < 1e12
+        best = min((1.0,) + report.residual_history)
+        assert report.final_residual > max(1.0, DIVERGENCE_FACTOR * best)
 
     @pytest.mark.parametrize("start", [1e149, 1e140, 1e100])
     @pytest.mark.parametrize("method", METHOD_NAMES)
@@ -657,8 +684,15 @@ class TestRunContract:
         assert report.reason in REASONS
         assert report.iterations == calls["n"]
         assert len(report.residual_history) == report.cycles
+        # the divergence rule: a stop check ends the run once its residual
+        # exceeds the starting one and DIVERGENCE_FACTOR times the best an
+        # earlier check saw, and at no check before
+        checks = (1.0,) + report.residual_history
+        for k in range(1, len(checks)):
+            assert checks[k] <= max(1.0, DIVERGENCE_FACTOR * min(checks[:k]))
         if report.reason == "diverged":
-            assert report.final_residual > DIVERGENCE_FACTOR
+            assert report.final_residual > \
+                max(1.0, DIVERGENCE_FACTOR * min(checks))
         elif report.reason == "nonfinite":
             assert report.final_residual == np.inf
         else:
