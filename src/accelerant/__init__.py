@@ -14,7 +14,6 @@ from .core import (
     Tableau,
     breakdown_check,
     forward_difference,
-    push_term,
     read_sequence_file,
 )
 
@@ -27,7 +26,6 @@ __all__ = [
     "Tableau",
     "breakdown_check",
     "forward_difference",
-    "push_term",
     "read_sequence_file",
     "__version__",
 ]

@@ -495,19 +495,17 @@ def cmd_bench(args) -> int:
 # argument parsing
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _model_dimension(text: str) -> int:
-    # the illposed study tabulates truncation orders 1 to rank - 1
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
-    return value
+def _at_least(low: int):
+    """An argparse type for integers of at least ``low``, so a value out of
+    range is refused in the flag's name, not the library parameter's."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -527,19 +525,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=_positive_float, default=1e-8,
                         help="relative stopping tolerance (default 1e-8)")
-    parser.add_argument("--max-cycles", type=_positive_int, default=1000,
+    parser.add_argument("--max-cycles", type=_at_least(1), default=1000,
                         help="iteration budget: restart cycles for vector "
                              "methods, map evaluations otherwise (default 1000)")
-    parser.add_argument("--n", type=_positive_int, default=None,
+    parser.add_argument("--n", type=_at_least(1), default=None,
                         help="problem size for linear/fredholm/pagerank "
                              "(defaults 100/500/5000)")
-    parser.add_argument("--grid", type=int, default=40,
+    parser.add_argument("--grid", type=_at_least(3), default=40,
                         help="interior grid points per side for pde (default 40)")
     parser.add_argument("--coupling", type=float, default=0.5,
                         help="integral-term weight for fredholm (default 0.5)")
     parser.add_argument("--alpha", type=float, default=0.85,
                         help="damping factor for pagerank (default 0.85)")
-    parser.add_argument("--avg-degree", type=int, default=8,
+    parser.add_argument("--avg-degree", type=_at_least(2), default=8,
                         help="out-degree of the synthetic graph (default 8)")
     parser.add_argument("--edges", default=None,
                         help="edge-list file for pagerank instead of the "
@@ -547,13 +545,15 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--radius", type=float, default=0.9,
                         help="spectral radius of the linear test map "
                              "(default 0.9)")
-    parser.add_argument("--m", type=_positive_int, default=5,
+    parser.add_argument("--m", type=_at_least(1), default=5,
                         help="restart width for vector methods, history "
                              "depth for anderson (default 5)")
-    parser.add_argument("--p", type=int, default=None,
-                        help="warmup map applications per cycle (default 0; "
-                             "mmpe, sbeta and h default to 20)")
-    parser.add_argument("--damping", type=float, default=1.0,
+    parser.add_argument("--p", type=_at_least(0), default=None,
+                        help="warmup map applications, run once before the "
+                             "first stop check and, for rre, mpe, mmpe, "
+                             "sbeta and h, again before every later one "
+                             "(default 0; mmpe, sbeta and h default to 20)")
+    parser.add_argument("--damping", type=_positive_float, default=1.0,
                         help="mixing parameter for anderson (default 1.0)")
 
 
@@ -572,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--input", help="sequence file, one term per line")
     scalar_p.add_argument("--method", required=True, choices=SCALAR_METHODS,
                           help="transformation to apply")
-    scalar_p.add_argument("--terms", type=int, default=12,
+    scalar_p.add_argument("--terms", type=_at_least(3), default=12,
                           help="terms to generate for --series (default 12)")
     scalar_p.set_defaults(func=cmd_scalar)
 
@@ -586,13 +586,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ill_p = sub.add_parser(
         "illposed", help="regularized extrapolation on a synthetic model")
-    ill_p.add_argument("--n", type=_model_dimension, default=200,
+    # the illposed study tabulates truncation orders 1 to rank - 1
+    ill_p.add_argument("--n", type=_at_least(2), default=200,
                        help="model dimension, at least 2 (default 200)")
-    ill_p.add_argument("--decay", type=float, default=1.0,
+    ill_p.add_argument("--decay", type=_positive_float, default=1.0,
                        help="log-slope of the singular values (default 1.0)")
     ill_p.add_argument("--noise", type=float, default=1e-2,
                        help="relative data noise (default 1e-2)")
-    ill_p.add_argument("--k-max", type=int, default=40,
+    ill_p.add_argument("--k-max", type=_at_least(1), default=40,
                        help="largest truncation order to tabulate (default 40)")
     ill_p.add_argument("--exact", action="store_true",
                        help="include error columns against the known solution")

@@ -40,7 +40,6 @@ __all__ = [
     "Tableau",
     "breakdown_check",
     "forward_difference",
-    "push_term",
     "read_sequence_file",
 ]
 
@@ -178,8 +177,7 @@ class SequenceWindow:
     Terms are either all scalars or all vectors of one common dimension;
     ``base_index`` is the sequence index of the first stored term.  They
     are held once, as the rows of one read-only C-order (count x N) array,
-    scalars as a single column.  Adding a term goes through
-    :func:`push_term`, which returns a new window.
+    scalars as a single column.
     """
 
     __slots__ = ("_rows", "_scalar", "_base")
@@ -212,11 +210,6 @@ class SequenceWindow:
     @property
     def is_scalar(self) -> bool:
         return self._scalar
-
-    @property
-    def dimension(self) -> int | None:
-        """Common vector dimension N, or None for scalar/empty windows."""
-        return None if self._scalar else self._rows.shape[1]
 
     @property
     def terms(self) -> tuple:
@@ -256,16 +249,6 @@ class SequenceWindow:
                 f"need {index}..{index + count - 1}")
         start = index - self._base
         return self._rows[start:start + count]
-
-    def __repr__(self) -> str:
-        kind = "scalar" if self.is_scalar else f"vector[{self.dimension}]"
-        return (f"SequenceWindow({kind}, len={len(self)}, "
-                f"base={self._base})")
-
-
-def push_term(window: SequenceWindow, term) -> SequenceWindow:
-    """Append one term, returning a new window with the same base index."""
-    return SequenceWindow([*window, term], window.base_index)
 
 
 def forward_difference(window: SequenceWindow, order: int, index: int) -> Term:
@@ -328,13 +311,6 @@ class Tableau:
         start, values, held = self._columns.get(k, (n, (), None))
         i = n - start
         return i if 0 <= i < len(values) and (held is None or held[i]) else None
-
-    def has_entry(self, k: int, n: int) -> bool:
-        """True when entry (k, n) is stored (evicted or flagged entries: False)."""
-        return (k, n) not in self._flags and self._row(k, n) is not None
-
-    def is_flagged(self, k: int, n: int) -> bool:
-        return (k, n) in self._flags
 
     def stored_columns(self) -> list[int]:
         return sorted(self._columns)
@@ -429,19 +405,11 @@ class Tableau:
         """Positions (k, n) invalidated by breakdowns, sorted by column."""
         return sorted(self._flags)
 
-    def _estimate_columns(self) -> list[int]:
-        return [k for k in self.stored_columns() if k >= 0 and (
-            self.estimate_parity == "all" or k % 2 == 0)]
-
-    def estimates(self) -> list[Estimate]:
-        """All stored entries in estimate-carrying columns, shallowest first."""
-        return [Estimate(value, order_k=k, pilot_index_n=n)
-                for k in self._estimate_columns()
-                for n, value in self._entries(k)]
-
     def best_estimate(self) -> Estimate:
         """The deepest stored valid estimate (highest column, smallest n)."""
-        for k in reversed(self._estimate_columns()):
+        for k in reversed(self.stored_columns()):
+            if k < 0 or self.estimate_parity == "even" and k % 2:
+                continue
             for n, value in self._entries(k):
                 return Estimate(value, order_k=k, pilot_index_n=n)
         raise BreakdownError("tableau holds no valid estimate")

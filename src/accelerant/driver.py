@@ -95,8 +95,8 @@ class FixedPointProblem:
     """A fixed-point problem u = G(u) with a designated starting guess.
 
     ``mapping`` must accept and return vectors of length ``dimension``.
-    ``solution`` is optional and only consulted by tests and reporting
-    helpers, never by the driver itself.
+    ``solution`` is optional and only consulted by tests, never by the
+    driver itself.
     """
 
     dimension: int
@@ -112,21 +112,18 @@ class FixedPointProblem:
                 object.__setattr__(self, name, _frozen_array(
                     getattr(self, name), name, 1, self.dimension))
 
-    def residual(self, point: np.ndarray) -> np.ndarray:
-        """F(u) = G(u) - u at the given point (one map evaluation)."""
-        point = np.asarray(point, dtype=float)
-        return np.asarray(self.mapping(point), dtype=float) - point
-
 
 @dataclass(frozen=True)
 class CycleConfig:
     """Settings for one accelerated run.
 
     ``width_m`` is the transform order used inside each cycle and
-    ``warmup_p`` the number of plain iterations run before the window is
-    collected.  ``test_vectors`` supplies projection columns for the
-    ``mmpe``/``sbeta``/``h`` methods (canonical basis columns by default);
-    ``tea`` and ``stea2`` pair with the current cycle's residual.
+    ``warmup_p`` the number of plain map applications run once, before the
+    first stop check; the projection methods (``rre``, ``mpe``, ``mmpe``,
+    ``sbeta``, ``h``) rerun them before every later one.  ``test_vectors``
+    supplies projection columns for the ``mmpe``/``sbeta``/``h`` methods
+    (canonical basis columns by default); ``tea`` and ``stea2`` pair with
+    the current cycle's residual.
     ``depth`` and ``damping`` configure ``anderson`` only.  ``depth``, the
     number of residual differences Anderson mixes, falls back to
     ``width_m`` when unset; the command line sets it that way, by ``--m``.

@@ -47,8 +47,7 @@ class SvdModel:
     ``u`` and ``v`` hold the left and right singular vectors as columns,
     ``sigma`` the singular values in descending order, and ``rhs`` the
     observed right-hand side.  When the noise-free right-hand side is
-    known (synthetic studies), it travels along as ``clean_rhs`` together
-    with the relative noise level that produced ``rhs``.
+    known (synthetic studies), it travels along as ``clean_rhs``.
     """
 
     u: np.ndarray
@@ -56,7 +55,6 @@ class SvdModel:
     v: np.ndarray
     rhs: np.ndarray
     clean_rhs: np.ndarray | None = None
-    noise_level: float | None = None
 
     def __post_init__(self) -> None:
         u = _frozen_array(self.u, "u", 2)
@@ -118,15 +116,12 @@ class TsvdSequence:
     The k-th iterate is the sum of the first k terms of the expansion
     coefficient * right-singular-vector, starting from the zero vector.
     Terms whose coefficient is exactly zero contribute nothing and are
-    deleted up front; ``renumbered`` records that such a deletion
-    happened, in which case position j here no longer matches singular
-    triplet j of the source model.
+    deleted up front, so position j here need not be singular triplet j
+    of the source model.
     """
 
     coefficients: np.ndarray
     vectors: np.ndarray
-    source_indices: tuple[int, ...]
-    renumbered: bool = field(default=False)
 
     def __post_init__(self) -> None:
         coeffs = _frozen_array(self.coefficients, "coefficients", 1)
@@ -135,8 +130,6 @@ class TsvdSequence:
         object.__setattr__(self, "vectors", vectors)
         if vectors.shape[1] != coeffs.size:
             raise ValueError("one vector column per coefficient is required")
-        if len(self.source_indices) != coeffs.size:
-            raise ValueError("one source index per coefficient is required")
         if np.any(coeffs == 0.0):
             raise ValueError("retained coefficients must be nonzero")
 
@@ -144,13 +137,7 @@ class TsvdSequence:
     def from_model(cls, model: SvdModel) -> "TsvdSequence":
         coeffs = _expansion_coefficients(model)
         keep = coeffs != 0.0
-        indices = tuple(int(j) + 1 for j in np.flatnonzero(keep))
-        return cls(
-            coefficients=coeffs[keep],
-            vectors=model.v[:, keep],
-            source_indices=indices,
-            renumbered=bool(not np.all(keep)),
-        )
+        return cls(coefficients=coeffs[keep], vectors=model.v[:, keep])
 
     @property
     def length(self) -> int:
@@ -177,7 +164,7 @@ class FilterFactors:
     ``gamma`` holds the convex combination weights (positive, summing to
     one); ``alpha``, derived from them, holds their trailing partial sums,
     which act as the damping factor applied to each retained expansion
-    term.  ``order`` is the truncation level the factors belong to.
+    term; their count is the truncation level the factors belong to.
     """
 
     gamma: np.ndarray
@@ -192,10 +179,6 @@ class FilterFactors:
             raise ValueError("gamma entries must sum to one")
         object.__setattr__(self, "alpha",
                            _frozen_array(_tail_sums(gamma), "alpha", 1))
-
-    @property
-    def order(self) -> int:
-        return int(self.alpha.size)
 
 
 def tsvd_solution(model: SvdModel, k: int) -> np.ndarray:

@@ -81,7 +81,6 @@ class LeastSquaresFit:
     ``rank_deficient`` flags that the cutoff dropped a singular value.
     """
     coefficients: np.ndarray
-    residual_norm: float
     rank_deficient: bool = False
 
 
@@ -241,9 +240,7 @@ def least_squares(a, b) -> LeastSquaresFit:
     m, n = a.shape
     b = _as_vector(b, m)
     theta, _, rank, _ = np.linalg.lstsq(a, b, rcond=_BREAKDOWN_THRESHOLD)
-    residual = _norm(b - a @ theta)
-    return LeastSquaresFit(coefficients=theta, residual_norm=residual,
-                           rank_deficient=bool(rank < n))
+    return LeastSquaresFit(coefficients=theta, rank_deficient=bool(rank < n))
 
 
 def jacobi_svd(a) -> SvdFactors:

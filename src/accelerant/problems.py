@@ -39,17 +39,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinearIteration:
-    """An affine iteration s_{j+1} = B s_j + offset with known solution.
-
-    ``spectral_radius_estimate`` is the radius the matrix was scaled to,
-    not a measured one: :func:`linear_iteration_generator` stores the
-    requested radius, and the true radius can differ from it (see there).
-    """
+    """An affine iteration s_{j+1} = B s_j + offset with known solution."""
 
     matrix: np.ndarray
     offset: np.ndarray
     solution: Optional[np.ndarray]
-    spectral_radius_estimate: float
 
     def __post_init__(self) -> None:
         matrix = _frozen_array(self.matrix, "matrix", 2)
@@ -121,10 +115,6 @@ class SparseGraph:
             array.setflags(write=False)
             object.__setattr__(self, name, array)
         object.__setattr__(self, "node_count", n)
-
-    @property
-    def edge_count(self) -> int:
-        return int(self.edge_targets.size)
 
     def __reduce__(self):
         return (type(self), (self.edge_targets, self.out_degrees,
@@ -276,10 +266,9 @@ def linear_iteration_generator(n: int, spectral_radius: float,
     chosen so a random point is the exact fixed point.  Deterministic
     under ``seed``.
 
-    The returned ``spectral_radius_estimate`` is ``spectral_radius`` as
-    requested.  The power iteration does not settle when the dominant
-    eigenvalues form a complex pair or nearly tie in magnitude, so the
-    true radius can miss the request either way: at n = 100 and a requested
+    The power iteration does not settle when the dominant eigenvalues form
+    a complex pair or nearly tie in magnitude, so the true radius can miss
+    ``spectral_radius`` either way: at n = 100 and a requested
     0.9, ``np.linalg.eigvals`` gives 0.8969 at seed 42, 0.9981 at seed 8
     and 0.9909 at seed 13.
     """
@@ -295,8 +284,7 @@ def linear_iteration_generator(n: int, spectral_radius: float,
     raw *= spectral_radius / estimate
     solution = rng.standard_normal(n)
     offset = solution - raw @ solution
-    return LinearIteration(matrix=raw, offset=offset, solution=solution,
-                           spectral_radius_estimate=spectral_radius)
+    return LinearIteration(matrix=raw, offset=offset, solution=solution)
 
 
 # ---------------------------------------------------------------------------
@@ -576,5 +564,4 @@ def illposed_synthetic(n: int, decay: float, noise_level: float,
     direction = rng.standard_normal(n)
     direction /= np.linalg.norm(direction)
     rhs = clean + noise_level * np.linalg.norm(clean) * direction
-    return SvdModel(u=u, sigma=sigma, v=v, rhs=rhs, clean_rhs=clean,
-                    noise_level=noise_level)
+    return SvdModel(u=u, sigma=sigma, v=v, rhs=rhs, clean_rhs=clean)

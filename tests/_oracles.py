@@ -211,7 +211,7 @@ def vea_per_entry(window, keep_full=False):
 
     return per_entry_sweep(_vectors(window), window.base_index,
                            (_lozenge(norm, step),), keep_full,
-                           zero=np.zeros(window.dimension))
+                           zero=np.zeros_like(window.term(window.base_index)))
 
 
 def e_recursion_per_entry(window, basis, k_max, keep_full=False):

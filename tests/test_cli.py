@@ -112,6 +112,15 @@ class TestScalarCommand:
         assert code == 1
         assert "usage:" in err
 
+    @pytest.mark.parametrize("terms", ["0", "2"])
+    def test_too_few_terms_exits_one_naming_the_flag(self, capsys, terms):
+        code, out, err = run_cli(capsys, ["scalar", "--series", "log2",
+                                          "--method", "epsilon",
+                                          "--terms", terms])
+        assert code == 1
+        assert out == ""
+        assert f"--terms: must be at least 3, got {terms}" in err
+
     def test_sequence_file_input(self, capsys, tmp_path):
         path = tmp_path / "seq.txt"
         terms = np.cumsum([(-1.0) ** m / (m + 1.0) for m in range(11)])
@@ -391,6 +400,8 @@ class TestIllposedCommand:
         (["--n", "0"], "--n: must be at least 2, got 0"),
         # a one-dimensional model has no truncation order to tabulate
         (["--n", "1"], "--n: must be at least 2, got 1"),
+        (["--k-max", "0"], "--k-max: must be at least 1, got 0"),
+        (["--decay", "0"], "--decay: must be positive, got 0.0"),
     ])
     def test_bad_input_exits_one_naming_its_flag(self, capsys, argv,
                                                  message):
@@ -504,6 +515,21 @@ class TestBenchCommand:
         code, _, err = run_cli(capsys, ["bench", "--problem", "linear",
                                         "--methods", ","])
         assert code == 1
+
+    @pytest.mark.parametrize("problem, flag, value, message", [
+        ("pde", "--grid", "2", "must be at least 3, got 2"),
+        ("pagerank", "--avg-degree", "1", "must be at least 2, got 1"),
+        ("linear", "--p", "-1", "must be at least 0, got -1"),
+        ("linear", "--damping", "0", "must be positive, got 0.0"),
+    ])
+    def test_out_of_range_value_exits_one_naming_its_flag(self, capsys,
+                                                          problem, flag,
+                                                          value, message):
+        code, out, err = run_cli(capsys, ["bench", "--problem", problem,
+                                          "--methods", "picard", flag, value])
+        assert code == 1
+        assert out == ""
+        assert f"{flag}: {message}" in err
 
     def test_markdown_format(self, capsys):
         code, out, _ = run_cli(capsys, ["bench", "--problem", "linear",
@@ -668,8 +694,9 @@ class TestComponentwiseEpsilon:
                 # newest entry of the deepest even column not flagged
                 expected = history[steps][c]
                 for k in range(2, steps + 1, 2):
-                    if table.has_entry(k, steps - k):
-                        expected = table.get_entry(k, steps - k)
+                    column = table.column(k)
+                    if steps - k in column:
+                        expected = column[steps - k]
                     else:
                         fallbacks += 1
                 assert accelerated[c] == expected, (steps, c)

@@ -15,7 +15,6 @@ from accelerant.core import (
     _norm,
     breakdown_check,
     forward_difference,
-    push_term,
     read_sequence_file,
 )
 from accelerant.scalar import (
@@ -33,34 +32,11 @@ import _oracles as oracles
 import test_golden as golden
 
 
-# -- push_term ---------------------------------------------------------------
-
-def test_push_to_empty_window():
-    w = push_term(SequenceWindow(), 1.0)
-    assert w.terms == (1.0,)
-    assert w.base_index == 0
-
-
-def test_push_appends_and_preserves_base():
-    w = SequenceWindow([1.0], base_index=0)
-    w2 = push_term(w, 2.0)
-    assert w2.terms == (1.0, 2.0)
-    assert w2.base_index == 0
-    # the original window is untouched
-    assert w.terms == (1.0,)
-
-
-def test_push_dimension_mismatch():
-    w = SequenceWindow([(1.0, 0.0)])
-    with pytest.raises(ValueError):
-        push_term(w, (0.0,))
-
+# -- sequence windows --------------------------------------------------------
 
 def test_mixed_scalar_vector_rejected():
     with pytest.raises(ValueError):
         SequenceWindow([1.0, (1.0, 2.0)])
-    with pytest.raises(ValueError):
-        push_term(SequenceWindow([1.0]), (1.0, 2.0))
 
 
 def test_window_terms_are_immutable():
@@ -237,8 +213,8 @@ def test_flagged_entries_raise_on_read():
     t.flag_breakdown(0, 0)
     with pytest.raises(BreakdownError):
         t.get_entry(0, 0)
-    assert not t.has_entry(0, 0)
-    assert t.is_flagged(0, 0)
+    assert t.column(0) == {}
+    assert t.flagged_entries() == [(0, 0)]
 
 
 def test_flagged_entries_are_listed_in_column_order():
@@ -281,9 +257,8 @@ def test_even_parity_estimates_skip_odd_columns():
     t.set_entry(0, 2, 3.0)
     t.set_entry(1, 0, 99.0)
     t.set_entry(1, 1, 98.0)
+    assert t.best_estimate().order_k == 0  # column 1 is auxiliary
     t.set_entry(2, 0, 7.0)
-    orders = {e.order_k for e in t.estimates()}
-    assert orders == {0, 2}
     best = t.best_estimate()
     assert best.order_k == 2 and best.value == 7.0
 
@@ -633,7 +608,7 @@ def test_read_vector_sequence_with_crlf(tmp_path):
     p = tmp_path / "vec.txt"
     p.write_bytes(b"# comment\r\n1.0,2.0\r\n3.0,4.0\r\n")
     w = read_sequence_file(p)
-    assert w.dimension == 2
+    assert w.rows(0, 2).shape == (2, 2)
     np.testing.assert_allclose(w.term(1), [3.0, 4.0])
 
 

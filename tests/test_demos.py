@@ -14,7 +14,9 @@ DEMOS = ("01_series_acceleration", "02_fixed_point_cycling",
 
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_exits_zero(name):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    # -W on the test run does not reach a subprocess: the variable does
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONWARNINGS="error::RuntimeWarning")
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],

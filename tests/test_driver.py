@@ -66,11 +66,6 @@ class TestFixedPointProblem:
         with pytest.raises(ValueError):
             FixedPointProblem(2, lambda u: u, np.array([np.inf, 0.0]))
 
-    def test_residual_definition(self):
-        problem = FixedPointProblem(2, lambda u: 2.0 * u + 1.0, np.zeros(2))
-        np.testing.assert_allclose(problem.residual(np.array([1.0, -1.0])),
-                                   np.array([2.0, 0.0]))
-
 
 class TestCycleConfig:
     def test_method_names_and_normalization(self):

@@ -39,8 +39,7 @@ def synthetic_model(seed=0, n=60, rank=20, decay=0.5, noise=1e-2):
     direction = rng.standard_normal(n)
     direction /= np.linalg.norm(direction)
     rhs = clean + noise * np.linalg.norm(clean) * direction
-    model = SvdModel(u=u, sigma=sigma, v=v, rhs=rhs,
-                     clean_rhs=clean, noise_level=noise)
+    model = SvdModel(u=u, sigma=sigma, v=v, rhs=rhs, clean_rhs=clean)
     exact = v @ solution_coeffs
     return model, exact
 
@@ -106,15 +105,14 @@ class TestTsvdSequence:
         model = SvdModel(u=u, sigma=[3.0, 2.0, 1.0], v=np.eye(3),
                          rhs=[3.0, 0.0, 1.0])
         seq = TsvdSequence.from_model(model)
-        assert seq.renumbered
-        assert seq.source_indices == (1, 3)
         assert np.allclose(seq.coefficients, [1.0, 1.0])
+        assert np.array_equal(seq.vectors, np.eye(3)[:, [0, 2]])
 
     def test_iterates_accumulate_terms(self):
         model = SvdModel(u=np.eye(3), sigma=[3.0, 2.0, 1.0], v=np.eye(3),
                          rhs=[3.0, 4.0, 5.0])
         seq = TsvdSequence.from_model(model)
-        assert not seq.renumbered
+        assert seq.length == 3
         assert np.allclose(seq.iterate(0), np.zeros(3))
         assert np.allclose(seq.iterate(2), [1.0, 2.0, 0.0])
         assert np.allclose(seq.iterate(3), tsvd_solution(model, 3))
@@ -213,7 +211,7 @@ class TestFilterFactors:
         # alpha_i = gamma_{i+1} + ... + gamma_k, one reversed cumsum
         want = np.cumsum(factors.gamma[::-1])[::-1][1:]
         assert factors.alpha.tobytes() == want.tobytes()
-        assert factors.order == len(gamma) - 1
+        assert factors.alpha.size == len(gamma) - 1
         assert not factors.alpha.flags.writeable
 
     def test_alpha_cannot_be_passed_in(self):
@@ -346,10 +344,9 @@ class TestCsvReport:
             int(np.argmin(want)) + 1
 
 
-def _sequence(coefficients=(1.0, 2.0), vectors=np.eye(3)[:, :2],
-              source_indices=(1, 2)):
+def _sequence(coefficients=(1.0, 2.0), vectors=np.eye(3)[:, :2]):
     return TsvdSequence(coefficients=np.asarray(coefficients),
-                        vectors=vectors, source_indices=source_indices)
+                        vectors=vectors)
 
 
 _MODEL = illposed_synthetic(12, 0.5, 1e-2, 3)
@@ -373,9 +370,6 @@ INPUT_CHECKS = {
     "sequence-vector-columns": (
         lambda: _sequence(vectors=np.eye(3)),
         "one vector column per coefficient"),
-    "sequence-source-indices": (
-        lambda: _sequence(source_indices=(1,)),
-        "one source index per coefficient"),
     "sequence-zero-coefficient": (
         lambda: _sequence(coefficients=(1.0, 0.0)),
         "retained coefficients must be nonzero"),

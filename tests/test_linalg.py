@@ -195,17 +195,23 @@ def test_determinant_matches_numpy():
 
 # -- least_squares -----------------------------------------------------------
 
+def _residual_norm(a, b, fit):
+    return np.linalg.norm(np.asarray(b) - np.asarray(a) @ fit.coefficients)
+
+
 def test_lstsq_identity():
-    fit = least_squares(np.eye(3), np.array([1.0, 2.0, 3.0]))
+    b = np.array([1.0, 2.0, 3.0])
+    fit = least_squares(np.eye(3), b)
     np.testing.assert_allclose(fit.coefficients, [1.0, 2.0, 3.0])
-    assert fit.residual_norm == pytest.approx(0.0, abs=1e-14)
+    assert _residual_norm(np.eye(3), b, fit) == pytest.approx(0.0, abs=1e-14)
     assert not fit.rank_deficient
 
 
 def test_lstsq_overdetermined_by_hand():
-    fit = least_squares([[1.0], [1.0]], np.array([0.0, 2.0]))
+    a, b = [[1.0], [1.0]], np.array([0.0, 2.0])
+    fit = least_squares(a, b)
     np.testing.assert_allclose(fit.coefficients, [1.0])
-    assert fit.residual_norm == pytest.approx(np.sqrt(2.0))
+    assert _residual_norm(a, b, fit) == pytest.approx(np.sqrt(2.0))
 
 
 def test_lstsq_zero_column_flags_fallback():
@@ -222,7 +228,7 @@ def test_lstsq_min_norm_among_solutions():
     fit = least_squares(a, b)
     assert fit.rank_deficient
     np.testing.assert_allclose(fit.coefficients, [0.5, 0.5], atol=1e-10)
-    assert fit.residual_norm <= 1e-10
+    assert _residual_norm(a, b, fit) <= 1e-10
 
 
 def test_lstsq_near_duplicate_column_takes_min_norm_path():
@@ -252,7 +258,7 @@ def test_lstsq_wide_matrix_takes_min_norm_path(shape):
     assert fit.rank_deficient
     np.testing.assert_array_equal(
         fit.coefficients, np.linalg.lstsq(a, b, rcond=1e-12)[0])
-    assert fit.residual_norm <= 1e-12
+    assert _residual_norm(a, b, fit) <= 1e-12
     with pytest.raises(ValueError, match="rows >= cols"):
         qr_mgs(a)
 

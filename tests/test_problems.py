@@ -109,13 +109,13 @@ class TestLinearIterationGenerator:
         iteration = linear_iteration_generator(6, 0.5, seed=2)
         problem = iteration.as_fixed_point()
         assert problem.dimension == 6
-        assert np.allclose(problem.residual(iteration.solution),
+        solution = iteration.solution
+        assert np.allclose(problem.mapping(solution) - solution,
                            np.zeros(6), atol=1e-12)
 
     def test_nonfinite_matrix_is_rejected(self):
         with pytest.raises(ValueError, match="matrix must be finite"):
-            LinearIteration(matrix=[[math.nan]], offset=[0.0], solution=None,
-                            spectral_radius_estimate=0.5)
+            LinearIteration(matrix=[[math.nan]], offset=[0.0], solution=None)
 
     @pytest.mark.parametrize("n, radius, seed", [(1, 0.5, 0), (7, 0.4, 99),
                                                  (100, 0.9, 42)])
@@ -151,7 +151,7 @@ def assembled_laplacian(p_grid: int, spacing: float) -> np.ndarray:
 class TestReactionDiffusion:
     def test_manufactured_solution_is_a_fixed_point(self):
         problem = reaction_diffusion(10)
-        residual = problem.residual(problem.solution)
+        residual = problem.mapping(problem.solution) - problem.solution
         assert np.linalg.norm(residual) <= 1e-12
 
     def test_contractive_near_solution(self):
@@ -441,7 +441,7 @@ class TestPagerank:
         graph = SparseGraph.from_edges(4, edges)
         assert graph.edge_targets.tolist() == [2, 1, 0, 3]
         assert graph.out_degrees.tolist() == [2, 0, 1, 1]
-        assert graph.edge_count == 4
+        assert graph.edge_targets.size == 4
         for array in (graph.edge_targets, graph.out_degrees):
             assert array.dtype == np.int64
             assert not array.flags.writeable
@@ -676,7 +676,7 @@ class TestLoadEdgeList:
         path.write_text("0 1\n1 0\n")
         graph = load_edge_list(path)
         assert graph.node_count == 2
-        assert graph.edge_count == 2
+        assert graph.edge_targets.size == 2
         assert graph.edge_targets.tolist() == [1, 0]
         assert graph.out_degrees.tolist() == [1, 1]
 
@@ -685,7 +685,7 @@ class TestLoadEdgeList:
         path.write_text("# Directed graph\n# Nodes: 2 Edges: 1\n\n0 1\n")
         graph = load_edge_list(path)
         assert graph.node_count == 2
-        assert graph.edge_count == 1
+        assert graph.edge_targets.size == 1
 
     def test_ids_are_compacted_with_mapping(self, tmp_path):
         path = tmp_path / "sparse_ids.txt"
@@ -768,7 +768,7 @@ class TestIllposedSynthetic:
 INPUT_CHECKS = {
     "linear-iteration-not-square": (
         lambda: LinearIteration(matrix=np.ones((2, 3)), offset=np.ones(2),
-                                solution=None, spectral_radius_estimate=0.5),
+                                solution=None),
         "matrix must be square"),
     "graph-without-nodes": (
         lambda: SparseGraph(edge_targets=np.zeros(0, dtype=np.int64),
